@@ -10,8 +10,11 @@ import (
 	"testing"
 
 	"interplab/internal/alphasim"
+	"interplab/internal/atom"
 	"interplab/internal/core"
 	"interplab/internal/harness"
+	"interplab/internal/trace"
+	"interplab/internal/vfs"
 	"interplab/internal/workloads"
 )
 
@@ -84,4 +87,39 @@ func BenchmarkICacheSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// pcRecorder keeps only the fetch addresses of an event stream.
+type pcRecorder struct{ pcs []uint32 }
+
+func (r *pcRecorder) Emit(e trace.Event) { r.pcs = append(r.pcs, e.PC) }
+
+// BenchmarkICacheSweepBlocks measures the Figure 4 sweep alone on the
+// block path the harness uses: a recorded Java/des fetch stream, delivered
+// in full 4096-event blocks, reported per event.
+func BenchmarkICacheSweepBlocks(b *testing.B) {
+	rec := &pcRecorder{}
+	img := atom.NewImage()
+	probe := atom.NewProbe(img, rec)
+	osys := vfs.New()
+	osys.Instrument(img, probe)
+	if err := workloads.DESJava(40).Run(&core.Ctx{Image: img, Probe: probe, Sink: rec, OS: osys}); err != nil {
+		b.Fatal(err)
+	}
+	probe.FlushEvents()
+	var blocks []*trace.Block
+	for k, pc := range rec.pcs {
+		if k%trace.BlockCap == 0 {
+			blocks = append(blocks, &trace.Block{})
+		}
+		blocks[len(blocks)-1].Append(trace.Event{PC: pc, Kind: trace.Int})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep := alphasim.DefaultICacheSweep()
+		for _, blk := range blocks {
+			sweep.EmitBlock(blk)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rec.pcs)), "ns/event")
 }

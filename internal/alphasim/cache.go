@@ -12,6 +12,8 @@
 // instruction-cache sweep used to regenerate Figure 4.
 package alphasim
 
+import "fmt"
+
 // CacheConfig describes one cache level.
 type CacheConfig struct {
 	Name     string
@@ -29,6 +31,32 @@ func (c CacheConfig) Sets() int {
 	return s
 }
 
+// mustSimulate panics, naming the geometry, unless the cache can be
+// simulated: a set index is a mask of the line number, so the line size
+// and set count must be powers of two, and the size must be exactly
+// sets × ways × line.
+func (c CacheConfig) mustSimulate() {
+	if why := c.unsimulatable(); why != "" {
+		panic(fmt.Sprintf("alphasim: cannot simulate cache %q (%d B, %d-way, %d B lines): %s",
+			c.Name, c.Size, c.Assoc, c.LineSize, why))
+	}
+}
+
+func (c CacheConfig) unsimulatable() string {
+	if c.LineSize < 1 || c.LineSize&(c.LineSize-1) != 0 {
+		return "line size is not a power of two"
+	}
+	if c.Assoc < 1 {
+		return "associativity is below 1"
+	}
+	if sets := c.Sets(); sets&(sets-1) != 0 {
+		return fmt.Sprintf("%d sets is not a power of two", sets)
+	} else if sets*c.Assoc*c.LineSize != c.Size {
+		return fmt.Sprintf("size is not %d sets × %d ways × %d B", sets, c.Assoc, c.LineSize)
+	}
+	return ""
+}
+
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
 	cfg       CacheConfig
@@ -43,9 +71,11 @@ type Cache struct {
 	Misses   uint64
 }
 
-// NewCache builds a cache from its geometry.  LineSize and the set count
-// must be powers of two.
+// NewCache builds a cache from its geometry.  It panics unless LineSize and
+// the set count are powers of two and Size is exactly sets × Assoc ×
+// LineSize.
 func NewCache(cfg CacheConfig) *Cache {
+	cfg.mustSimulate()
 	sets := cfg.Sets()
 	c := &Cache{
 		cfg:   cfg,

@@ -1,6 +1,7 @@
 package alphasim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +105,36 @@ func TestCacheSetsGeometry(t *testing.T) {
 	cfg := CacheConfig{Size: 8 << 10, LineSize: 32, Assoc: 2}
 	if cfg.Sets() != 128 {
 		t.Errorf("sets = %d, want 128", cfg.Sets())
+	}
+}
+
+// TestUnsimulatableGeometriesPanic: a set index is a mask of the line
+// number, so a geometry with a non-power-of-two line size or set count
+// (8 KB/3-way has 85 sets) must be refused by name, not simulated in the
+// wrong sets.
+func TestUnsimulatableGeometriesPanic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func()
+		want []string
+	}{
+		{"sweep 8KB/3way", func() { NewICacheSweep([]int{8}, []int{3}, 32) }, []string{`"8KB/3way"`, "85 sets"}},
+		{"sweep 48B lines", func() { NewICacheSweep([]int{8}, []int{1}, 48) }, []string{"48 B lines", "line size"}},
+		{"cache 3-way", func() { NewCache(CacheConfig{Name: "L1I", Size: 8 << 10, LineSize: 32, Assoc: 3}) }, []string{`"L1I"`, "85 sets"}},
+		{"cache 0-way", func() { NewCache(CacheConfig{Size: 8 << 10, LineSize: 32}) }, []string{"associativity"}},
+		{"cache ragged size", func() { NewCache(CacheConfig{Size: 80, LineSize: 32, Assoc: 1}) }, []string{"80 B", "size is not 2 sets"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				for _, w := range tc.want {
+					if !strings.Contains(msg, w) {
+						t.Errorf("panic %q does not mention %q", msg, w)
+					}
+				}
+			}()
+			tc.mk()
+		})
 	}
 }
 

@@ -71,9 +71,6 @@ func (b *Batch) Submit(bj BatchJob) (*Job, error) {
 	default:
 		return nil, fmt.Errorf("harness: unknown job kind %q (measure, pipeline, sweep)", bj.Kind)
 	}
-	// addJob decomposes parallel-batch sweeps into per-point jobs; the
-	// caller's sweep gets its points restored at assembly, so Job.Sweep
-	// reads the same either way.
 	j := b.b.addJob(&job{
 		kind:      bj.Kind,
 		prog:      bj.Program,

@@ -40,7 +40,7 @@ func stressProgram(name string, fail error, panics bool) core.Program {
 }
 
 // stressSweep returns a private 4-point sweep (8/16KB × 1/2-way, 32B
-// lines); on a parallel batch it decomposes into 4 sweep-point jobs.
+// lines).
 func stressSweep() *alphasim.ICacheSweep {
 	return alphasim.NewICacheSweep([]int{8, 16}, []int{1, 2}, 32)
 }
@@ -48,11 +48,11 @@ func stressSweep() *alphasim.ICacheSweep {
 // TestBatchKeepGoingStress hammers the exported Batch's keep-going
 // contract at parallelism 8 with a mixed load: plain measurements, ones
 // that error, ones that panic, and sweep jobs (healthy, erroring, and
-// panicking) that each decompose into per-point children.  Every job must
-// run to completion, failures must stay isolated to their own job, sweeps
-// must reassemble to exact deterministic counts, and the batch ledger
-// must balance with the decomposed sweep-point rows on the books.  Run
-// under -race this is also the scheduler's data-race stress.
+// panicking).  Every job must run to completion, failures must stay
+// isolated to their own job, sweeps must accumulate exact deterministic
+// counts, and the batch ledger must balance with one sweep row per sweep
+// on the books.  Run under -race this is also the scheduler's data-race
+// stress.
 func TestBatchKeepGoingStress(t *testing.T) {
 	const nMeasure = 40
 	b := NewBatch(Options{Parallelism: 8})
@@ -81,8 +81,8 @@ func TestBatchKeepGoingStress(t *testing.T) {
 		measures = append(measures, j)
 	}
 
-	// Two healthy sweeps over identical geometry (their reassembled points
-	// must agree bit for bit), one erroring, one panicking.
+	// Two healthy sweeps over identical geometry (their points must agree
+	// bit for bit), one erroring, one panicking.
 	good1, err := b.Submit(BatchJob{Kind: "sweep", Program: stressProgram("s-good-a", nil, false), Sweep: stressSweep()})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestBatchKeepGoingStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nSweepPoints = 4 * 4 // 4 sweep jobs × 4 geometry points
+	const nSweeps = 4
 
 	// Keep-going: individual failures never fail the batch.
 	if err := b.Run(); err != nil {
@@ -131,15 +131,15 @@ func TestBatchKeepGoingStress(t *testing.T) {
 		}
 	}
 
-	// Sweeps reassembled: exact instruction counts per point, identical
-	// points across the two healthy sweeps, failures confined.
+	// Sweeps: exact instruction counts per point, identical points across
+	// the two healthy sweeps, failures confined.
 	for _, g := range []*Job{good1, good2} {
 		if !g.Ran() || g.Err() != nil {
 			t.Fatalf("healthy sweep: ran=%v err=%v", g.Ran(), g.Err())
 		}
 		pts := g.Sweep().Points()
 		if len(pts) != 4 {
-			t.Fatalf("sweep reassembled %d points, want 4", len(pts))
+			t.Fatalf("sweep has %d points, want 4", len(pts))
 		}
 		for _, pt := range pts {
 			if pt.Instructions != stressEmits {
@@ -159,8 +159,8 @@ func TestBatchKeepGoingStress(t *testing.T) {
 		t.Errorf("panicking sweep error = %v, want a recovered panic", panicky.Err())
 	}
 
-	// The ledger balances with the decomposition on the books: sweep
-	// parents never enter it, their per-point children do.
+	// The ledger balances with one row per submitted job: each sweep is a
+	// single unit, however many geometries it simulates.
 	s := b.Sched()
 	if s == nil {
 		t.Fatal("no sched stats after Run")
@@ -168,33 +168,28 @@ func TestBatchKeepGoingStress(t *testing.T) {
 	if s.ClaimPolicy != labstats.PolicyLJF {
 		t.Errorf("claim policy = %q, want %q", s.ClaimPolicy, labstats.PolicyLJF)
 	}
-	wantUnits := nMeasure + nSweepPoints
+	wantUnits := nMeasure + nSweeps
 	if s.Jobs.Enqueued != wantUnits {
-		t.Errorf("ledger enqueued %d units, want %d (sweeps decomposed per point)", s.Jobs.Enqueued, wantUnits)
+		t.Errorf("ledger enqueued %d units, want %d (one per sweep)", s.Jobs.Enqueued, wantUnits)
 	}
 	if s.Jobs.Finished != wantUnits || s.Jobs.Abandoned != 0 || s.Jobs.Unclaimed != 0 {
 		t.Errorf("keep-going must finish every unit: %+v", s.Jobs)
 	}
-	// Errors: the planted measure failures plus every child of the two
-	// broken sweeps (the failure repeats per point — each child re-runs
-	// the workload).
-	if wantLedgerErrs := wantErrs + 2*4; s.Jobs.Errors != wantLedgerErrs {
+	// Errors: the planted measure failures plus the two broken sweeps.
+	if wantLedgerErrs := wantErrs + 2; s.Jobs.Errors != wantLedgerErrs {
 		t.Errorf("ledger errors = %d, want %d", s.Jobs.Errors, wantLedgerErrs)
 	}
-	points := 0
+	sweeps := 0
 	for _, jr := range s.Ledger {
-		if jr.Kind == "sweep-point" {
-			points++
-		}
 		if jr.Kind == "sweep" {
-			t.Errorf("monolithic sweep row %q in a parallel batch's ledger", jr.Program)
+			sweeps++
 		}
 		if jr.EstUS <= 0 || jr.EstSource == "" {
 			t.Errorf("unit %d (%s %s) has no cost estimate", jr.Index, jr.Kind, jr.Program)
 		}
 	}
-	if points != nSweepPoints {
-		t.Errorf("ledger shows %d sweep-point rows, want %d", points, nSweepPoints)
+	if sweeps != nSweeps {
+		t.Errorf("ledger shows %d sweep rows, want %d", sweeps, nSweeps)
 	}
 	if s.WorkersEffective != 8 {
 		t.Errorf("workers effective = %d, want 8", s.WorkersEffective)

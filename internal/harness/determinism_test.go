@@ -22,17 +22,13 @@ var detScale = 0.1
 // entries (wall times zeroed — they vary even between two serial runs —
 // and cache_hit zeroed, the one field that legitimately flips between a
 // cold and a warm run), the merged folded profile, and its pprof
-// encoding.  tweaks adjust the Options before the run (e.g. forcing
-// monolithic sweeps).
-func detRun(t *testing.T, id string, parallelism int, cache *rescache.Cache, tweaks ...func(*Options)) (text string, runs []byte, folded string, pprof []byte, measured int) {
+// encoding.
+func detRun(t *testing.T, id string, parallelism int, cache *rescache.Cache) (text string, runs []byte, folded string, pprof []byte, measured int) {
 	t.Helper()
 	var buf bytes.Buffer
 	man := telemetry.NewManifest(detScale)
 	set := profile.NewSet()
 	opt := Options{Scale: detScale, Out: &buf, Parallelism: parallelism, Manifest: man, Profile: set, Cache: cache}
-	for _, tweak := range tweaks {
-		tweak(&opt)
-	}
 	if err := Run(id, opt); err != nil {
 		t.Fatalf("%s (parallelism %d): %v", id, parallelism, err)
 	}
@@ -141,35 +137,6 @@ func TestWarmCacheOutputIsByteIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSweepDecompositionIsByteIdentical pins the per-point sweep
-// decomposition against its monolithic baseline: a parallel fig4 run with
-// every sweep split into one job per cache geometry must produce
-// byte-identical rendered text, manifest entries, folded profiles, and
-// pprof encodings to the same run forced monolithic.  The simulated
-// caches never interact, so re-running the workload per single-point
-// sweep accumulates exactly the monolithic counts; this test is the wall
-// that keeps that equivalence from regressing.
-func TestSweepDecompositionIsByteIdentical(t *testing.T) {
-	mText, mRuns, mFolded, mPprof, measured := detRun(t, "fig4", 8, nil,
-		func(o *Options) { o.MonolithicSweeps = true })
-	dText, dRuns, dFolded, dPprof, dMeasured := detRun(t, "fig4", 8, nil)
-	if measured == 0 || dMeasured != measured {
-		t.Fatalf("measured %d monolithic vs %d decomposed manifest records", measured, dMeasured)
-	}
-	if mText != dText {
-		t.Errorf("rendered text differs between monolithic and per-point sweeps:\n--- monolithic ---\n%s\n--- per-point ---\n%s", mText, dText)
-	}
-	if !bytes.Equal(mRuns, dRuns) {
-		t.Errorf("manifest entries differ between monolithic and per-point sweeps:\n--- monolithic ---\n%s\n--- per-point ---\n%s", mRuns, dRuns)
-	}
-	if mFolded != dFolded {
-		t.Errorf("folded profiles differ between monolithic and per-point sweeps:\n--- monolithic ---\n%s\n--- per-point ---\n%s", mFolded, dFolded)
-	}
-	if !bytes.Equal(mPprof, dPprof) {
-		t.Error("pprof encodings differ between monolithic and per-point sweeps")
 	}
 }
 

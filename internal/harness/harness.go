@@ -76,17 +76,6 @@ type Options struct {
 	// restored measurements with cache_hit.
 	Cache *rescache.Cache
 
-	// MonolithicSweeps disables per-geometry-point decomposition of sweep
-	// measurements on parallel batches: each Fig4-style sweep runs as one
-	// job simulating every geometry in a single pass, the pre-decomposition
-	// behavior.  Rendered output is byte-identical either way (the
-	// equivalence tests pin this); the switch exists to measure the
-	// decomposition win and to bisect suspected decomposition
-	// discrepancies.  Note the measurement cache keys on sweep geometry,
-	// so decomposed and monolithic runs populate different entries —
-	// keep the flag consistent between the cold and warm run of a pair.
-	MonolithicSweeps bool
-
 	// SchedContention arms the scheduler ledger's optional mutex-/block-
 	// profile bracket: each batch raises the runtime's contention
 	// sampling rates while it runs and records how many contended stacks
@@ -125,14 +114,6 @@ func (o Options) parallelism() int {
 		return o.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// decomposeSweeps reports whether sweep measurements split into
-// per-geometry-point jobs.  The decision depends only on the run's flags
-// (not the batch's job count), so every batch of a run — and the cache
-// entries it writes — decomposes consistently.
-func (o Options) decomposeSweeps() bool {
-	return !o.MonolithicSweeps && o.parallelism() > 1
 }
 
 // Experiments lists the runnable experiment ids, in presentation order.
@@ -208,7 +189,7 @@ func Run(id string, opt Options) error {
 // modes in one batch, while experiments leave both fields zero.
 func (o Options) measureOpts(reg *telemetry.Registry, j *job) []core.MeasureOption {
 	opts := []core.MeasureOption{core.WithTracer(o.Tracer), core.WithTelemetry(reg)}
-	if (o.Profile != nil || j.profiling) && !j.noProfile {
+	if o.Profile != nil || j.profiling {
 		opts = append(opts, core.WithProfiling())
 	}
 	if o.PerEvent {
@@ -705,8 +686,7 @@ func Fig4(opt Options) error {
 	b.plan(func() error {
 		sweeps = make([]*alphasim.ICacheSweep, len(progs))
 		for i, p := range progs {
-			// Each job gets a private sweep; jobs run concurrently (and on
-			// a parallel batch decompose into one job per geometry point).
+			// Each job gets a private sweep; jobs run concurrently.
 			sweeps[i] = alphasim.DefaultICacheSweep()
 			b.measureSweep(p, sweeps[i])
 		}

@@ -35,10 +35,10 @@ import (
 // callbacks turn those inputs into measurement jobs, and render jobs
 // format the collected results into private buffers.  Moving setup and
 // render inside the batch means the speedup ledger's wall covers the
-// whole experiment, and the ledger decomposes it per phase.  Sweep
-// measurements additionally decompose into one job per cache geometry
-// (see measureSweep), so a single large experiment can saturate every
-// worker.
+// whole experiment, and the ledger decomposes it per phase.  A sweep is
+// one job whose single pass simulates every cache geometry (see
+// alphasim.ICacheSweep); experiments get their parallelism from measuring
+// many workloads at once.
 //
 // Within a parallel stage, workers claim jobs longest-job-first: jobs are
 // ordered by a cost estimate (static kind weights, refined by the
@@ -53,29 +53,18 @@ import (
 // jobs once any job has failed, so later jobs may simply never run).
 
 // job is one schedulable unit: a measurement, a setup closure, or a
-// render closure — plus, for decomposed sweeps, a composite parent that
-// never executes itself but reassembles its per-point children.
+// render closure.
 type job struct {
-	kind  string // "measure", "pipeline", "sweep", "sweep-point", "setup", "render"
+	kind  string // "measure", "pipeline", "sweep", "setup", "render"
 	name  string // setup/render jobs: display name (measure jobs use prog.ID())
 	prog  core.Program
 	cfg   alphasim.Config       // pipeline jobs
-	sweep *alphasim.ICacheSweep // sweep and sweep-point jobs
-	lidx  int                   // this job's index in the batch ledger; -1 for composite parents
+	sweep *alphasim.ICacheSweep // sweep jobs
+	lidx  int                   // this job's index in the batch ledger
 
 	fn       func() error          // setup jobs
 	renderFn func(io.Writer) error // render jobs
 	buf      *bytes.Buffer         // render jobs: private output, flushed in submission order
-
-	// parts, when non-nil, makes this a composite sweep parent: the
-	// children are the schedulable units, and assemble() folds their
-	// per-geometry points back into this job's sweep and result.
-	parts []*job
-	// noProfile suppresses profiling for sweep-point children after the
-	// first: the attribution profile is a property of the event stream,
-	// identical across geometry points, so one profiled child reproduces
-	// the monolithic sweep's profile exactly.
-	noProfile bool
 
 	// scope and profiling override the batch-wide cache scope and
 	// profiling mode for this one job (exported-Batch callers only;
@@ -102,9 +91,7 @@ type batch struct {
 	opt    Options
 	setups []*job
 	plans  []func() error
-	// jobs holds the measurement jobs in submission (= record) order;
-	// composite sweep parents appear here while their children are the
-	// units the workers actually execute.
+	// jobs holds the measurement jobs in submission (= record) order.
 	jobs    []*job
 	renders []*job
 	// led is the batch's scheduling ledger: per-job
@@ -153,26 +140,8 @@ func (b *batch) addRender(name string, fn func(io.Writer) error) *job {
 	return j
 }
 
-// addJob appends one measurement job in submission order, decomposing
-// sweeps into per-point children when the batch runs parallel.
+// addJob appends one measurement job in submission order.
 func (b *batch) addJob(j *job) *job {
-	if j.kind == "sweep" && b.opt.decomposeSweeps() {
-		for k, part := range j.sweep.Split() {
-			child := &job{
-				kind:      "sweep-point",
-				prog:      j.prog,
-				sweep:     part,
-				scope:     j.scope,
-				profiling: j.profiling && k == 0,
-				noProfile: k > 0,
-			}
-			child.lidx = b.led.Enqueue(child.kind, child.prog.ID())
-			j.parts = append(j.parts, child)
-		}
-		j.lidx = -1
-		b.jobs = append(b.jobs, j)
-		return j
-	}
 	j.lidx = b.led.Enqueue(j.kind, j.label())
 	b.jobs = append(b.jobs, j)
 	return j
@@ -191,27 +160,8 @@ func (b *batch) measurePipeline(p core.Program, cfg alphasim.Config) *job {
 
 // measureSweep enqueues a measurement of p through the instruction-cache
 // sweep.  The sweep must be private to this job: workers run concurrently.
-// On a parallel batch the sweep decomposes into one job per geometry
-// point — the simulated caches never interact, so re-running the workload
-// once per single-point sweep accumulates exactly the counts a monolithic
-// pass would, and assemble() restores them into the submitted sweep in
-// point order.
 func (b *batch) measureSweep(p core.Program, sweep *alphasim.ICacheSweep) *job {
 	return b.addJob(&job{kind: "sweep", prog: p, sweep: sweep})
-}
-
-// units returns the executable measurement units in submission order:
-// composite sweep parents are replaced by their per-point children.
-func (b *batch) units() []*job {
-	out := make([]*job, 0, len(b.jobs))
-	for _, j := range b.jobs {
-		if j.parts != nil {
-			out = append(out, j.parts...)
-			continue
-		}
-		out = append(out, j)
-	}
-	return out
 }
 
 // capWorkers bounds the worker count by the stage width, min 1.
@@ -255,9 +205,8 @@ func (b *batch) run() error {
 			}
 		}
 	}
-	units := b.units()
 	width := len(b.setups)
-	for _, n := range []int{len(units), len(b.renders)} {
+	for _, n := range []int{len(b.jobs), len(b.renders)} {
 		if n > width {
 			width = n
 		}
@@ -266,9 +215,8 @@ func (b *batch) run() error {
 
 	measureFailed := false
 	if !setupFailed && planErr == nil {
-		measureFailed = b.runStage(units, requested)
+		measureFailed = b.runStage(b.jobs, requested)
 	}
-	b.assemble()
 
 	if !setupFailed && planErr == nil && !measureFailed {
 		b.runStage(b.renders, requested)
@@ -401,45 +349,6 @@ func (b *batch) runStage(units []*job, requested int) (failed bool) {
 	return failedFlag.Load()
 }
 
-// assemble folds each composite sweep parent's children back together:
-// the parent's result is the first child's (the event-stream metrics and
-// profile are geometry-independent), its sweep gets the children's
-// per-geometry points restored in submission order, and its error is the
-// first child error.  The parent counts as ran only when every child ran.
-func (b *batch) assemble() {
-	for _, p := range b.jobs {
-		if p.parts == nil {
-			continue
-		}
-		ran := true
-		fromCache := true
-		var dur time.Duration
-		pts := make([]alphasim.SweepPoint, 0, len(p.parts))
-		for _, c := range p.parts {
-			if !c.ran {
-				ran = false
-			}
-			if c.err != nil && p.err == nil {
-				p.err = c.err
-			}
-			dur += c.dur
-			if c.ran && c.err == nil {
-				pts = append(pts, c.sweep.Points()...)
-				if !c.res.FromCache {
-					fromCache = false
-				}
-			}
-		}
-		p.ran = ran
-		p.dur = dur
-		if ran && p.err == nil {
-			p.res = p.parts[0].res
-			p.res.FromCache = fromCache
-			p.sweep.RestorePoints(pts)
-		}
-	}
-}
-
 // exec performs one job on the given trace lane (0 = main lane), updating
 // the given telemetry registry (the shared one, or a worker's shard).
 func (b *batch) exec(j *job, lane int, reg *telemetry.Registry) {
@@ -448,7 +357,7 @@ func (b *batch) exec(j *job, lane int, reg *telemetry.Registry) {
 	switch j.kind {
 	case "pipeline":
 		args = append(args, "sink", "pipeline")
-	case "sweep", "sweep-point":
+	case "sweep":
 		args = append(args, "sink", "icache-sweep")
 	}
 	spanName := "measure " + j.label()
@@ -482,7 +391,7 @@ func (b *batch) exec(j *job, lane int, reg *telemetry.Registry) {
 			j.res, j.err = core.Measure(j.prog, opts...)
 		case "pipeline":
 			j.res, j.err = core.MeasureWithPipeline(j.prog, j.cfg, opts...)
-		case "sweep", "sweep-point":
+		case "sweep":
 			j.res, j.err = core.MeasureWithSweep(j.prog, j.sweep, opts...)
 		case "setup":
 			j.err = j.fn()

@@ -10,18 +10,17 @@ import (
 // history exists for a job shape.  The absolute numbers don't matter —
 // only the ordering they induce — but they track reality at the default
 // scale: a pipeline run simulates caches and a TLB on top of the
-// interpreter, a monolithic sweep runs 12 cache geometries in one pass,
-// a per-point sweep job runs one geometry (slightly more than a bare
-// measure because the event stream still replays in full), and setup /
-// render are bookkeeping around the measurements.
+// interpreter; a sweep's one pass over every cache geometry costs little
+// more than the interpreter itself (fig1, fig4 and opt-matrix ledgers at
+// scales 0.25–0.5 on a 2-CPU x86-64 host: a sweep took 1.01–1.18× the
+// plain measurement of the same program, and a pipeline 1.5–1.7× the
+// sweep); setup / render are bookkeeping around the measurements.
 func kindWeight(kind string) float64 {
 	switch kind {
 	case "pipeline":
 		return 3
 	case "sweep":
-		return 12
-	case "sweep-point":
-		return 1.2
+		return 1.1
 	case "setup", "render":
 		return 0.05
 	}

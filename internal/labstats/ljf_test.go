@@ -262,12 +262,11 @@ func TestLedgerPolicyEstimateAndAbandonAccounting(t *testing.T) {
 // TestPhaseOf pins the kind-to-phase mapping the profile folds by.
 func TestPhaseOf(t *testing.T) {
 	for kind, want := range map[string]string{
-		"setup":       "setup",
-		"render":      "render",
-		"measure":     "measure",
-		"pipeline":    "measure",
-		"sweep":       "measure",
-		"sweep-point": "measure",
+		"setup":    "setup",
+		"render":   "render",
+		"measure":  "measure",
+		"pipeline": "measure",
+		"sweep":    "measure",
 	} {
 		if got := PhaseOf(kind); got != want {
 			t.Errorf("PhaseOf(%q) = %q, want %q", kind, got, want)
@@ -283,9 +282,9 @@ func TestPhaseOf(t *testing.T) {
 func TestCostModelProvenanceAndConvergence(t *testing.T) {
 	m := NewCostModel()
 
-	// Cold: static estimates, ordered sweep > pipeline > sweep-point >
-	// measure > setup, and linear in scale.
-	kinds := []string{"sweep", "pipeline", "sweep-point", "measure", "setup"}
+	// Cold: static estimates, ordered pipeline > sweep > measure > setup,
+	// and linear in scale.
+	kinds := []string{"pipeline", "sweep", "measure", "setup"}
 	var prev float64
 	for i, kind := range kinds {
 		est, src := m.Estimate(kind, "p", 1)
@@ -334,8 +333,8 @@ func TestCostModelProvenanceAndConvergence(t *testing.T) {
 	// Nil model degrades to bare weights.
 	var nilModel *CostModel
 	est, src = nilModel.Estimate("sweep", "p", 1)
-	if est != 12 || src != EstStatic {
-		t.Errorf("nil model estimate = %v/%q, want 12/static", est, src)
+	if est != 1.1 || src != EstStatic {
+		t.Errorf("nil model estimate = %v/%q, want 1.1/static", est, src)
 	}
 	nilModel.Observe("measure", "p", 1, 100) // must not panic
 }
