@@ -10,12 +10,14 @@ import (
 	"runtime"
 	"time"
 
+	"interplab/internal/atom"
 	"interplab/internal/core"
 	"interplab/internal/harness"
 	"interplab/internal/labstats"
 	"interplab/internal/rescache"
 	"interplab/internal/telemetry"
 	"interplab/internal/trace"
+	"interplab/internal/vfs"
 	"interplab/internal/workloads"
 )
 
@@ -31,37 +33,27 @@ type benchResult struct {
 	WinningRound int `json:"winning_round,omitempty"`
 }
 
-// perEventArm is the same telemetry-overhead measurement taken with the
-// batched event pipeline disabled (core.WithPerEventEmission) — the
-// "before" of the batching change, kept in the report so the win stays
-// visible run over run.
-type perEventArm struct {
-	Off                benchResult `json:"telemetry_off"`
-	On                 benchResult `json:"telemetry_on"`
-	Profiling          benchResult `json:"profiling_on"`
-	OverheadPct        float64     `json:"overhead_pct"`
-	ProfileOverheadPct float64     `json:"profile_overhead_pct"`
-}
-
 // benchReport is the BENCH_telemetry.json document: the event throughput
-// of a harness measurement with telemetry off vs. on, and with the
+// of one measurement with telemetry off (the probe counts, emitting
+// nothing), with every event emitted through the block path into the same
+// counter (Emit), with the telemetry observer on that path, and with the
 // attribution-profile sink attached, seeding the repo's performance
-// trajectory.  The top-level arms measure the batched (default) pipeline;
-// PerEvent measures the same arms with batching disabled.
+// trajectory.  The overhead percentages are the observer's and the
+// profiler's cost over the emission they ride on, so both are taken
+// against Emit.
 type benchReport struct {
 	Benchmark          string      `json:"benchmark"`
 	Workload           string      `json:"workload"`
 	Runs               int         `json:"runs"`
 	Off                benchResult `json:"telemetry_off"`
+	Emit               benchResult `json:"emit"`
 	On                 benchResult `json:"telemetry_on"`
 	Profiling          benchResult `json:"profiling_on"`
 	OverheadPct        float64     `json:"overhead_pct"`
 	ProfileOverheadPct float64     `json:"profile_overhead_pct"`
 
-	// PerEvent is the pre-batching emission path; Batch is the batched
-	// arm's block accounting (from the telemetry-off run).
-	PerEvent perEventArm      `json:"per_event"`
-	Batch    trace.BatchStats `json:"batch"`
+	// Batch is the emit arm's block accounting.
+	Batch trace.BatchStats `json:"batch"`
 
 	// Scheduler arm: the same harness experiment measured serially and on
 	// the parallel scheduler — the output is byte-identical, so this is
@@ -129,48 +121,39 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 	mk := func() core.Program { return workloads.DESMIPSI(blocks) }
 	const runs = 5
 
-	// All six overhead arms run in interleaved rounds (off, on, profiling,
-	// then their per-event twins, repeated), so a host noise episode is
-	// spread across every arm instead of sinking whichever one it lands on.
-	pe := core.WithPerEventEmission()
-	arms, results := benchArms(runs, mk, [][]core.MeasureOption{
-		{},
-		{core.WithTelemetry(telemetry.NewRegistry())},
-		{core.WithProfiling()},
-		{pe},
-		{pe, core.WithTelemetry(telemetry.NewRegistry())},
-		{pe, core.WithProfiling()},
+	// All four overhead arms run in interleaved rounds (off, emit, on,
+	// profiling, repeated), so a host noise episode is spread across every
+	// arm instead of sinking whichever one it lands on.
+	arms, results := benchArms(runs, []func() (core.Result, error){
+		func() (core.Result, error) { return core.Measure(mk()) },
+		func() (core.Result, error) { return measureEmitting(mk()) },
+		func() (core.Result, error) { return core.Measure(mk(), core.WithTelemetry(telemetry.NewRegistry())) },
+		func() (core.Result, error) { return core.Measure(mk(), core.WithProfiling()) },
 	})
-	off, on, prof := arms[0], arms[1], arms[2]
-	offRes, peRes := results[0], results[3]
+	off, emit, on, prof := arms[0], arms[1], arms[2], arms[3]
+	offRes, emitRes := results[0], results[1]
 
 	rep := benchReport{
 		Benchmark: "telemetry-overhead",
 		Workload:  mk().ID(),
 		Runs:      runs,
 		Off:       off,
+		Emit:      emit,
 		On:        on,
 		Profiling: prof,
-		Batch:     offRes.Batch,
+		Batch:     emitRes.Batch,
 	}
-	if off.EventsPerSec > 0 {
-		rep.OverheadPct = 100 * (off.EventsPerSec - on.EventsPerSec) / off.EventsPerSec
-		rep.ProfileOverheadPct = 100 * (off.EventsPerSec - prof.EventsPerSec) / off.EventsPerSec
+	if emit.EventsPerSec > 0 {
+		rep.OverheadPct = 100 * (emit.EventsPerSec - on.EventsPerSec) / emit.EventsPerSec
+		rep.ProfileOverheadPct = 100 * (emit.EventsPerSec - prof.EventsPerSec) / emit.EventsPerSec
 	}
 
-	// The per-event arms are the pre-batching path, kept as the baseline
-	// the batching win is measured against.  The batched and per-event
-	// runs must agree on every measured number — a mismatch means batching
-	// changed the stream, which is fatal here exactly as it is in the
-	// harness differential test.
-	if offRes.Counter != peRes.Counter || offRes.Stats.Instructions != peRes.Stats.Instructions {
-		fatalf("bench: batched and per-event runs measured different streams")
-	}
-	rep.PerEvent = perEventArm{Off: arms[3], On: arms[4], Profiling: arms[5]}
-	if rep.PerEvent.Off.EventsPerSec > 0 {
-		peOff := rep.PerEvent.Off.EventsPerSec
-		rep.PerEvent.OverheadPct = 100 * (peOff - rep.PerEvent.On.EventsPerSec) / peOff
-		rep.PerEvent.ProfileOverheadPct = 100 * (peOff - rep.PerEvent.Profiling.EventsPerSec) / peOff
+	// Counting and emitting must agree on every measured number — a
+	// mismatch means the counting probe diverged from the stream it stands
+	// for, which is fatal here exactly as it is in the core differential
+	// test.
+	if offRes.Counter != emitRes.Counter || offRes.Stats.Instructions != emitRes.Stats.Instructions {
+		fatalf("bench: counting and emitting runs measured different streams")
 	}
 
 	rep.SchedExperiment = "table1"
@@ -223,10 +206,10 @@ func cmdBenchTelemetry(args []string, scale float64, cacheDir string) {
 	if err := f.Close(); err != nil {
 		fatalf("close %s: %v", out, err)
 	}
-	fmt.Printf("telemetry off: %.0f events/s, on: %.0f events/s (overhead %.2f%%), profiling: %.0f events/s (overhead %.2f%%) -> %s\n",
-		off.EventsPerSec, on.EventsPerSec, rep.OverheadPct, prof.EventsPerSec, rep.ProfileOverheadPct, out)
-	fmt.Printf("per-event baseline: telemetry overhead %.2f%%, profiling overhead %.2f%% (%d blocks, %.0f events/block)\n",
-		rep.PerEvent.OverheadPct, rep.PerEvent.ProfileOverheadPct, rep.Batch.Blocks, rep.Batch.EventsPerBlock())
+	fmt.Printf("telemetry off: %.0f events/s, emit: %.0f events/s (%d blocks, %.0f events/block) -> %s\n",
+		off.EventsPerSec, emit.EventsPerSec, rep.Batch.Blocks, rep.Batch.EventsPerBlock(), out)
+	fmt.Printf("telemetry on: %.0f events/s (overhead %.2f%% over emit), profiling: %.0f events/s (overhead %.2f%% over emit)\n",
+		on.EventsPerSec, rep.OverheadPct, prof.EventsPerSec, rep.ProfileOverheadPct)
 	fmt.Printf("scheduler %s: serial %.2fs (round %d), parallel(%d) %.2fs (round %d) -> %.2fx\n",
 		rep.SchedExperiment, rep.SchedSerial.BestSeconds, rep.SchedSerial.WinningRound,
 		rep.Parallelism, rep.SchedParallel.BestSeconds, rep.SchedParallel.WinningRound,
@@ -397,19 +380,39 @@ func schedArms(n int, id string, scale float64, parallelisms []int) ([]benchResu
 	return out, scheds
 }
 
+// measureEmitting runs p as core.Measure does, but with its counter behind
+// a one-sink trace.Multi: the probe sees no bare counter, so it emits every
+// event through the block path instead of counting.  That emission is what
+// the telemetry and profiling arms ride on.
+func measureEmitting(p core.Program) (core.Result, error) {
+	var c trace.Counter
+	sink := trace.Multi{&c}
+	img := atom.NewImage()
+	probe := atom.NewProbe(img, sink)
+	osys := vfs.New()
+	if p.System != core.SysC {
+		osys.Instrument(img, probe)
+	}
+	if err := p.Run(&core.Ctx{Image: img, Probe: probe, Sink: sink, OS: osys}); err != nil {
+		return core.Result{}, fmt.Errorf("%s: %w", p.ID(), err)
+	}
+	probe.FlushEvents()
+	return core.Result{Program: p, Stats: probe.Stats(), Counter: c, Batch: probe.BatchStats()}, nil
+}
+
 // benchArms measures several configurations of the same workload in n
 // interleaved rounds — arm 0, 1, 2, ..., then all arms again — keeping
 // each arm's best wall time.  It returns the per-arm timings and each
 // arm's last Result (runs are deterministic, so any run's Result stands
 // for all of that arm's).
-func benchArms(n int, mk func() core.Program, arms [][]core.MeasureOption) ([]benchResult, []core.Result) {
+func benchArms(n int, arms []func() (core.Result, error)) ([]benchResult, []core.Result) {
 	best := make([]time.Duration, len(arms))
 	rounds := make([]int, len(arms))
 	last := make([]core.Result, len(arms))
 	for i := 0; i < n; i++ {
-		for a, opts := range arms {
+		for a, measure := range arms {
 			start := time.Now()
-			res, err := core.Measure(mk(), opts...)
+			res, err := measure()
 			el := time.Since(start)
 			if err != nil {
 				fatalf("bench workload: %v", err)

@@ -1,6 +1,9 @@
 package atom
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -375,5 +378,82 @@ func TestStatsPhaseConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCountingMatchesEmitting drives a counting probe (its sink a lone
+// *trace.Counter) and an emitting probe (the same counter type behind a
+// Multi, so events travel in blocks) through identical seeded scripts over
+// random routine shapes — sizes, branch and short-integer spacings down to
+// 1, and Exec lengths that cross wraps and branch sites — and requires the
+// same counter, the same Stats, and the same walk state in every routine.
+func TestCountingMatchesEmitting(t *testing.T) {
+	type shape struct{ size, br, sh int }
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shapes := make([]shape, 1+rng.Intn(5))
+		for i := range shapes {
+			shapes[i] = shape{size: 1 + rng.Intn(40), br: 1 + rng.Intn(12), sh: 1 + rng.Intn(20)}
+			if rng.Intn(4) == 0 {
+				shapes[i].size = 1
+			}
+		}
+		type op struct{ kind, r, n int }
+		script := make([]op, 200)
+		for i := range script {
+			script[i] = op{kind: rng.Intn(8), r: rng.Intn(len(shapes)), n: rng.Intn(130)}
+		}
+		run := func(count bool) (trace.Counter, Stats, []Routine) {
+			img := NewImage()
+			var rs []*Routine
+			for i, s := range shapes {
+				rs = append(rs, img.Routine(fmt.Sprintf("r%d", i), s.size, WithBranchEvery(s.br), WithShortEvery(s.sh)))
+			}
+			var c trace.Counter
+			var sink trace.Sink = trace.Multi{&c}
+			if count {
+				sink = &c
+			}
+			p := NewProbe(img, sink)
+			if (p.count != nil) != count {
+				t.Fatalf("counting mode = %v for sink %T", p.count != nil, sink)
+			}
+			for _, o := range script {
+				r := rs[o.r]
+				switch o.kind {
+				case 0, 1, 2:
+					p.Exec(r, o.n)
+				case 3:
+					p.ExecMul(r, o.n%5)
+				case 4:
+					p.Load(DataBase + uint32(o.n)*4)
+				case 5:
+					p.Store(DataBase + uint32(o.n)*4)
+				case 6:
+					p.Call(r)
+				case 7:
+					p.Ret()
+				}
+			}
+			p.FlushEvents()
+			walk := make([]Routine, len(rs))
+			for i, r := range rs {
+				walk[i] = *r
+			}
+			return c, p.Stats(), walk
+		}
+		cc, cs, cw := run(true)
+		ec, es, ew := run(false)
+		if cc != ec {
+			t.Errorf("seed %d: counting counter %+v, emitting %+v", seed, cc, ec)
+		}
+		if !reflect.DeepEqual(cs, es) {
+			t.Errorf("seed %d: counting stats %+v, emitting %+v", seed, cs, es)
+		}
+		for i := range cw {
+			if cw[i] != ew[i] {
+				t.Errorf("seed %d: routine %d walk state %+v after counting, %+v after emitting", seed, i, cw[i], ew[i])
+			}
+		}
 	}
 }

@@ -167,6 +167,30 @@ func (r *Routine) next32() uint32 {
 	return x
 }
 
+// branch takes the conditional-branch step at pc, whose cursor advance is
+// already done.  Most sites are strongly biased (loops and error checks
+// repeat their direction, which a 1-bit predictor learns); a minority of
+// data-dependent sites flip randomly.  A taken branch jumps a short way
+// back, staying inside the routine.  It returns the direction and target.
+func (r *Routine) branch(pc uint32) (taken bool, target uint32) {
+	r.sinceBr = 0
+	site := (pc>>2)*2654435761 ^ pc>>13
+	if site%8 == 0 {
+		taken = r.next32()&1 != 0 // data-dependent site
+	} else {
+		taken = site&8 != 0 // stable per-site direction
+	}
+	if !taken {
+		return false, pc + 16
+	}
+	back := (site/16)%uint32(r.branchEvery) + 1
+	if int(back) > r.cursor {
+		back = uint32(r.cursor)
+	}
+	r.cursor -= int(back)
+	return true, r.Base + uint32(r.cursor)*4
+}
+
 // DataRegion is a registered data structure in the synthetic address space.
 type DataRegion struct {
 	Name string

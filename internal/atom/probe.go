@@ -49,18 +49,18 @@ type RegionID int
 // it, and it emits the native-instruction stream while keeping per-command
 // and per-region accounts.
 type Probe struct {
-	img  *Image
-	sink trace.Sink
+	img *Image
 
-	// batch buffers emitted events into struct-of-arrays blocks and hands
-	// whole blocks to sink; batching turns the per-event path back on
-	// (SetBatching), attrSync forces a flush before every attribution
-	// change so blocks are attribution-uniform for miss-joining sinks
-	// (RequireAttrSync), and attrTag — the lighter alternative — records a
-	// tagged segment boundary in the buffered block instead
-	// (MarkAttrBoundaries).
+	// count is set when the probe's sink is a lone *trace.Counter: the
+	// probe then runs in counting mode, tallying instructions straight into
+	// it without building events.  Otherwise batch buffers emitted events
+	// into struct-of-arrays blocks and hands whole blocks to the sink;
+	// attrSync forces a flush before every attribution change so blocks
+	// are attribution-uniform for miss-joining sinks (RequireAttrSync), and
+	// attrTag — the lighter alternative — records a tagged segment
+	// boundary in the buffered block instead (MarkAttrBoundaries).
+	count    *trace.Counter
 	batch    *trace.Batcher
-	batching bool
 	attrSync bool
 	attrTag  func() any
 
@@ -139,17 +139,19 @@ type regionStat struct {
 	accesses uint64
 }
 
-// NewProbe returns a probe over img writing events to sink.  Use
-// trace.Discard to count without simulating.
+// NewProbe returns a probe over img writing events to sink.  When sink is
+// a *trace.Counter the probe counts instead of emitting: the counter ends
+// with the tallies the emitted stream would have given it, and no event is
+// built.  Any other sink receives the full stream in blocks.
 func NewProbe(img *Image, sink trace.Sink) *Probe {
 	if sink == nil {
 		sink = trace.Discard
 	}
+	c, _ := sink.(*trace.Counter)
 	p := &Probe{
 		img:         img,
-		sink:        sink,
+		count:       c,
 		batch:       trace.NewBatcher(sink),
-		batching:    true,
 		curOp:       -1,
 		lastOp:      -1,
 		opNames:     make(map[string]OpID),
@@ -187,26 +189,13 @@ func (p *Probe) RequireAttrSync() { p.attrSync = true }
 // the previous one are skipped without calling tag.
 func (p *Probe) MarkAttrBoundaries(tag func() any) { p.attrTag = tag }
 
-// SetBatching switches between batched block delivery (the default) and the
-// per-event path that calls sink.Emit once per instruction.  Turning
-// batching off flushes anything buffered first, so no events are lost or
-// reordered across the switch.  The two modes produce identical sink
-// state; per-event exists as the differential-testing and overhead-bench
-// baseline.
-func (p *Probe) SetBatching(on bool) {
-	if !on {
-		p.batch.Flush(trace.FlushFinal)
-	}
-	p.batching = on
-}
-
 // FlushEvents delivers any buffered events to the sink.  Call it before
 // reading sink-side state (counters, recorders, simulators, profiles);
 // measurements do this once at collect time.
 func (p *Probe) FlushEvents() { p.batch.Flush(trace.FlushFinal) }
 
 // BatchStats returns the probe's batching account: events and blocks
-// delivered, split by flush trigger.  All zero when batching is off.
+// delivered, split by flush trigger.  All zero in counting mode.
 func (p *Probe) BatchStats() trace.BatchStats { return p.batch.Stats() }
 
 // bumpAttr records an attribution change: while the outgoing state, under
@@ -441,11 +430,13 @@ func (p *Probe) emit(e trace.Event) {
 		}
 	}
 	p.lastDep = e.Kind == trace.Load || e.Kind == trace.ShortInt || e.Kind == trace.Mul
-	if p.batching {
-		p.batch.Append(e)
-		return
-	}
-	p.sink.Emit(e)
+	p.batch.Append(e)
+}
+
+// tally counts n instructions of kind k in counting mode.
+func (p *Probe) tally(k trace.Kind, n uint64) {
+	p.count.Total += n
+	p.count.ByKind[k] += n
 }
 
 // Exec reports n executed instructions inside routine r.  The probe walks
@@ -460,6 +451,10 @@ func (p *Probe) Exec(r *Routine, n int) {
 	}
 	p.setCur(r)
 	p.account(uint64(n))
+	if p.count != nil {
+		p.countExec(r, n)
+		return
+	}
 	for i := 0; i < n; i++ {
 		pc := r.pc()
 		r.cursor++
@@ -473,30 +468,10 @@ func (p *Probe) Exec(r *Routine, n int) {
 			continue
 		}
 		if r.sinceBr >= r.branchEvery {
-			r.sinceBr = 0
-			// Branch direction: most sites are strongly biased (loops and
-			// error checks repeat their direction, which a 1-bit predictor
-			// learns); a minority of data-dependent sites flip randomly.
-			site := (pc>>2)*2654435761 ^ pc>>13
-			var taken bool
-			if site%8 == 0 {
-				taken = r.next32()&1 != 0 // data-dependent site
-			} else {
-				taken = site&8 != 0 // stable per-site direction
-			}
 			fl := trace.Flags(0)
-			var target uint32
+			taken, target := r.branch(pc)
 			if taken {
 				fl = trace.FlagTaken
-				// Short backward branch: stay inside the routine.
-				back := (site/16)%uint32(r.branchEvery) + 1
-				if int(back) > r.cursor {
-					back = uint32(r.cursor)
-				}
-				r.cursor -= int(back)
-				target = r.Base + uint32(r.cursor)*4
-			} else {
-				target = pc + 16
 			}
 			p.emit(trace.Event{PC: pc, Addr: target, Kind: trace.Branch, Flags: fl})
 			continue
@@ -508,6 +483,57 @@ func (p *Probe) Exec(r *Routine, n int) {
 		}
 		p.emit(trace.Event{PC: pc, Kind: trace.Int})
 	}
+}
+
+// countExec is Exec in counting mode.  Between two branch steps the walk
+// is pure arithmetic on the routine's cursor and step counters, so each
+// straight-line run is counted in one step; every branch step — the wrap
+// at the routine end or a conditional-branch site — is taken exactly as
+// the emitting walk takes it, so r's walk state ends where that walk
+// would leave it and later branch decisions match.
+func (p *Probe) countExec(r *Routine, n int) {
+	var ints, shorts, branches, taken int
+	for n > 0 {
+		// Straight-line steps before the next branch step, which comes at
+		// the routine end or the next branch site, whichever is first.
+		m := min(r.Size-r.cursor, r.branchEvery-r.sinceBr, n+1) - 1
+		if m > 0 {
+			// A ShortInt falls on the first step where sinceSh reaches
+			// shortEvery, then every shortEvery steps.
+			sh := 0
+			if first := max(1, r.shortEvery-r.sinceSh); first <= m {
+				sh = 1 + (m-first)/r.shortEvery
+				r.sinceSh = m - first - (sh-1)*r.shortEvery
+			} else {
+				r.sinceSh += m
+			}
+			shorts += sh
+			ints += m - sh
+			r.cursor += m
+			r.sinceBr += m
+			n -= m
+			if n == 0 {
+				break
+			}
+		}
+		pc := r.pc()
+		r.cursor++
+		r.sinceBr++
+		r.sinceSh++
+		n--
+		branches++
+		if r.cursor >= r.Size {
+			r.cursor = 0
+			r.sinceBr = 0
+			taken++
+		} else if t, _ := r.branch(pc); t {
+			taken++
+		}
+	}
+	p.tally(trace.Int, uint64(ints))
+	p.tally(trace.ShortInt, uint64(shorts))
+	p.tally(trace.Branch, uint64(branches))
+	p.count.TakenBr += uint64(taken)
 }
 
 // setCur switches the executing routine, bumping the attribution version
@@ -523,6 +549,13 @@ func (p *Probe) setCur(r *Routine) {
 func (p *Probe) ExecMul(r *Routine, n int) {
 	p.setCur(r)
 	p.account(uint64(n))
+	if p.count != nil {
+		if n > 0 {
+			p.tally(trace.Mul, uint64(n))
+			r.cursor = (r.cursor + n) % r.Size
+		}
+		return
+	}
 	for i := 0; i < n; i++ {
 		pc := r.pc()
 		r.cursor = (r.cursor + 1) % r.Size
@@ -546,6 +579,11 @@ func (p *Probe) step() uint32 {
 func (p *Probe) Load(addr uint32) {
 	p.account(1)
 	p.loads++
+	if p.count != nil {
+		p.step()
+		p.tally(trace.Load, 1)
+		return
+	}
 	p.emit(trace.Event{PC: p.step(), Addr: addr, Kind: trace.Load})
 }
 
@@ -553,6 +591,11 @@ func (p *Probe) Load(addr uint32) {
 func (p *Probe) Store(addr uint32) {
 	p.account(1)
 	p.stores++
+	if p.count != nil {
+		p.step()
+		p.tally(trace.Store, 1)
+		return
+	}
 	p.emit(trace.Event{PC: p.step(), Addr: addr, Kind: trace.Store})
 }
 
@@ -581,7 +624,11 @@ func (p *Probe) Call(r *Routine) {
 	p.account(1)
 	// The jump belongs to the caller: it is emitted — and, under attr-sync
 	// batching, flushed — before the frame push changes the call stack.
-	p.emit(trace.Event{PC: retpc, Addr: r.Base, Kind: trace.Jump, Flags: trace.FlagCall})
+	if p.count != nil {
+		p.tally(trace.Jump, 1)
+	} else {
+		p.emit(trace.Event{PC: retpc, Addr: r.Base, Kind: trace.Jump, Flags: trace.FlagCall})
+	}
 	p.bumpAttr()
 	p.frames = append(p.frames, frame{r: p.cur, cursor: cursorOf(p.cur)})
 	p.pushFrameID(p.cur)
@@ -613,7 +660,11 @@ func (p *Probe) Ret() {
 	// The return belongs to the callee: it is emitted — and, under
 	// attr-sync batching, flushed — before the frame pop changes the call
 	// stack.
-	p.emit(trace.Event{PC: pc, Addr: ret, Kind: trace.Return})
+	if p.count != nil {
+		p.tally(trace.Return, 1)
+	} else {
+		p.emit(trace.Event{PC: pc, Addr: ret, Kind: trace.Return})
+	}
 	p.bumpAttr()
 	p.frames = p.frames[:len(p.frames)-1]
 	p.popFrameID()

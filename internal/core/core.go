@@ -45,10 +45,9 @@ type Ctx struct {
 	Sink  trace.Sink
 	OS    *vfs.OS
 
-	display  *gfx.Display
-	size     int
-	batch    trace.BatchStats
-	perEvent bool
+	display *gfx.Display
+	size    int
+	batch   trace.BatchStats
 }
 
 // Display lazily creates the run's framebuffer (native graphics library).
@@ -68,11 +67,6 @@ func (c *Ctx) SetProgramSize(n int) { c.size = n }
 // bypassing the probe, and reports here so Result.Batch covers the whole
 // stream.
 func (c *Ctx) RecordBatch(bs trace.BatchStats) { c.batch.Add(bs) }
-
-// PerEventEmission reports whether the run was requested with batching
-// disabled (WithPerEventEmission); workload-side producers with their own
-// batching honor it.
-func (c *Ctx) PerEventEmission() bool { return c.perEvent }
 
 // Program is one benchmark under one system.
 type Program struct {
@@ -103,7 +97,8 @@ type Result struct {
 	// and Stats is zero except where noted.
 	Stats atom.Stats
 
-	// Counter tallies the emitted native-instruction stream.
+	// Counter tallies the native-instruction stream (counted in the probe
+	// when nothing else consumes it).
 	Counter trace.Counter
 
 	// SizeBytes is the interpreted program's input size.
@@ -136,7 +131,9 @@ type Result struct {
 	// Batch accounts the batched event pipeline: events and blocks
 	// delivered to the sinks, split by flush trigger, summed over every
 	// producer in the run (the probe, plus the compiled-C path's internal
-	// batcher).  All zero under WithPerEventEmission.
+	// batcher).  The probe contributes nothing when the run's only
+	// consumer is its counter: it then counts instead of emitting, so a
+	// counter-only measurement of an interpreted program has zero Batch.
 	Batch trace.BatchStats
 }
 
@@ -176,7 +173,6 @@ type measureConfig struct {
 	reg         *telemetry.Registry
 	sampleEvery uint64
 	profiling   bool
-	perEvent    bool
 	lane        int
 
 	cache      *rescache.Cache
@@ -244,15 +240,6 @@ func WithProfiling() MeasureOption {
 	return func(c *measureConfig) { c.profiling = true }
 }
 
-// WithPerEventEmission disables the batched event pipeline for the run:
-// every producer emits events to the sinks one at a time, the way the lab
-// worked before batching.  The measured numbers are byte-identical either
-// way (the differential tests pin this); this switch exists to measure the
-// batching win itself and to bisect any suspected batching discrepancy.
-func WithPerEventEmission() MeasureOption {
-	return func(c *measureConfig) { c.perEvent = true }
-}
-
 // cacheKey builds the content address for one measurement of p under the
 // current cache scope.
 func (mc *measureConfig) cacheKey(p Program, kind, config, sweep string) rescache.Key {
@@ -267,7 +254,6 @@ func (mc *measureConfig) cacheKey(p Program, kind, config, sweep string) rescach
 		Config:      config,
 		Sweep:       sweep,
 		Profiling:   mc.profiling,
-		PerEvent:    mc.perEvent,
 	}
 }
 
@@ -363,10 +349,9 @@ func run(p Program, sink trace.Sink, mc measureConfig) (Result, error) {
 	// counting/simulation sinks; disabled, Wrap returns the fan unchanged.
 	observed := telemetry.Wrap(fanned, mc.reg, mc.sampleEvery)
 	img := atom.NewImage()
+	// With no observer, profiler or simulating sink attached, observed is
+	// the bare counter and the probe counts instead of emitting.
 	probe := atom.NewProbe(img, observed)
-	if mc.perEvent {
-		probe.SetBatching(false)
-	}
 	if col != nil {
 		col.Bind(probe)
 		if missJoin {
@@ -384,7 +369,7 @@ func run(p Program, sink trace.Sink, mc measureConfig) (Result, error) {
 	if p.System != SysC {
 		osys.Instrument(img, probe)
 	}
-	ctx := &Ctx{Image: img, Probe: probe, Sink: observed, OS: osys, perEvent: mc.perEvent}
+	ctx := &Ctx{Image: img, Probe: probe, Sink: observed, OS: osys}
 	span := mc.tracer.StartOn(mc.lane, "workload "+p.ID(), "program", p.ID())
 	err := p.Run(ctx)
 	span.End()

@@ -61,13 +61,6 @@ type Options struct {
 	// experiment records its profiles as manifest artifacts.
 	Profile *profile.Set
 
-	// PerEvent disables the batched event pipeline for every measurement:
-	// producers emit events to the sinks one at a time.  Rendered output,
-	// manifests, and profiles are byte-identical to the batched default
-	// (the differential test pins this); the switch exists to measure the
-	// batching win and to bisect suspected batching discrepancies.
-	PerEvent bool
-
 	// Cache, when non-nil, memoizes every measurement on disk: jobs whose
 	// key (experiment, scale, program, kind, machine config, profiling
 	// mode, lab build fingerprint) matches a stored entry are restored
@@ -191,9 +184,6 @@ func (o Options) measureOpts(reg *telemetry.Registry, j *job) []core.MeasureOpti
 	opts := []core.MeasureOption{core.WithTracer(o.Tracer), core.WithTelemetry(reg)}
 	if o.Profile != nil || j.profiling {
 		opts = append(opts, core.WithProfiling())
-	}
-	if o.PerEvent {
-		opts = append(opts, core.WithPerEventEmission())
 	}
 	if o.Cache != nil {
 		scope := rescache.Scope{Experiment: o.experiment, Scale: o.scale()}

@@ -9,18 +9,20 @@ import (
 // kindWeight is the static relative cost of a job kind, used before any
 // history exists for a job shape.  The absolute numbers don't matter —
 // only the ordering they induce — but they track reality at the default
-// scale: a pipeline run simulates caches and a TLB on top of the
-// interpreter; a sweep's one pass over every cache geometry costs little
-// more than the interpreter itself (fig1, fig4 and opt-matrix ledgers at
-// scales 0.25–0.5 on a 2-CPU x86-64 host: a sweep took 1.01–1.18× the
-// plain measurement of the same program, and a pipeline 1.5–1.7× the
-// sweep); setup / render are bookkeeping around the measurements.
+// scale.  A plain measurement only counts (the probe tallies without
+// emitting events), a sweep emits every event through its one pass over
+// every cache geometry, and a pipeline simulates caches and a TLB on top
+// of that emission.  Ledgers of fig1, fig4 and fig3 at scale 0.25,
+// parallelism 1, on a 2-CPU x86-64 host, per program: a sweep took
+// 2.3–5.5× (median 4.2×) the plain measurement of the same program, and a
+// pipeline 4.3–10.1× (median 6.7×), or 1.5–2.6× the sweep.  Setup and
+// render are bookkeeping around the measurements.
 func kindWeight(kind string) float64 {
 	switch kind {
 	case "pipeline":
-		return 3
+		return 7
 	case "sweep":
-		return 1.1
+		return 4
 	case "setup", "render":
 		return 0.05
 	}
@@ -99,7 +101,7 @@ func (m *CostModel) Observe(kind, program string, scale, durUS float64) {
 // exists, EstStatic otherwise.  Static estimates are the kind weight
 // scaled by the scale factor and the observed global mean (or 1µs-units
 // when the model is empty) — crude, but they order a cold batch sensibly:
-// sweeps before pipelines before measures before bookkeeping.
+// pipelines before sweeps before measures before bookkeeping.
 func (m *CostModel) Estimate(kind, program string, scale float64) (us float64, source string) {
 	w := kindWeight(kind)
 	if scale > 0 {

@@ -322,7 +322,7 @@ func TestCostModelProvenanceAndConvergence(t *testing.T) {
 	}
 	eq(t, "static scaled by observed mean", other, 1600)
 	pipe, _ := m.Estimate("pipeline", "q", 1)
-	eq(t, "unseen kind keeps its weight ratio", pipe, 3*1600)
+	eq(t, "unseen kind keeps its weight ratio", pipe, 7*1600)
 
 	// A different scale is a different key: still static.
 	_, src = m.Estimate("measure", "p", 0.5)
@@ -333,8 +333,8 @@ func TestCostModelProvenanceAndConvergence(t *testing.T) {
 	// Nil model degrades to bare weights.
 	var nilModel *CostModel
 	est, src = nilModel.Estimate("sweep", "p", 1)
-	if est != 1.1 || src != EstStatic {
-		t.Errorf("nil model estimate = %v/%q, want 1.1/static", est, src)
+	if est != 4 || src != EstStatic {
+		t.Errorf("nil model estimate = %v/%q, want 4/static", est, src)
 	}
 	nilModel.Observe("measure", "p", 1, 100) // must not panic
 }

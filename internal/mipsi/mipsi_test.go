@@ -450,8 +450,20 @@ func TestNativeEventStream(t *testing.T) {
 	if taken != 9 || ntaken != 1 {
 		t.Errorf("branch outcomes taken=%d ntaken=%d, want 9/1", taken, ntaken)
 	}
-	if nat.Counter.Total != uint64(len(rec.Events)) {
-		t.Error("counter must mirror the sink")
+	// A run whose sink is a bare counter must tally the recorded stream.
+	var want, got trace.Counter
+	for _, e := range rec.Events {
+		want.Emit(e)
+	}
+	nat, err = NewNative(prog, vfs.New(), &got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nat.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("counter sink tallied %+v, recorded stream %+v", got, want)
 	}
 }
 

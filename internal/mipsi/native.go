@@ -22,18 +22,12 @@ const (
 // address.  This is the compiled-C execution mode — the baseline of
 // Table 1, the C des row of Table 2, and the native SPEC runs of Figure 3.
 type Native struct {
-	M    *Machine
-	sink trace.Sink
+	M *Machine
 
-	// Counter tallies the emitted stream (Table 2's C row equates
-	// virtual commands with native instructions).
-	Counter trace.Counter
-
-	// batch buffers the emitted stream into blocks delivered to both the
-	// counter and the sink once per fill; the compiled-C path has no
-	// attribution state, so blocks only flush on fill and at end of Run.
-	batch    *trace.Batcher
-	batching bool
+	// batch buffers the emitted stream into blocks delivered to the sink
+	// once per fill; the compiled-C path has no attribution state, so
+	// blocks only flush on fill and at end of Run.
+	batch *trace.Batcher
 
 	prevDest int // register written by the previous instruction (0 = none)
 	kpc      uint32
@@ -45,49 +39,13 @@ func NewNative(prog *mips.Program, os *vfs.OS, sink trace.Sink) (*Native, error)
 	if err != nil {
 		return nil, err
 	}
-	if sink == nil {
-		sink = trace.Discard
-	}
-	n := &Native{M: m, sink: sink, batching: true}
-	n.batch = trace.NewBatcher(fanSink{n})
-	return n, nil
+	return &Native{M: m, batch: trace.NewBatcher(sink)}, nil
 }
 
-// fanSink delivers flushed blocks to the Native's counter and sink in the
-// per-event order (counter first).
-type fanSink struct{ n *Native }
-
-func (f fanSink) Emit(e trace.Event) {
-	f.n.Counter.Emit(e)
-	f.n.sink.Emit(e)
-}
-
-func (f fanSink) EmitBlock(b *trace.Block) {
-	f.n.Counter.EmitBlock(b)
-	trace.EmitBlockTo(f.n.sink, b)
-}
-
-func (n *Native) emit(e trace.Event) {
-	if n.batching {
-		n.batch.Append(e)
-		return
-	}
-	n.Counter.Emit(e)
-	n.sink.Emit(e)
-}
-
-// SetBatching switches between batched block delivery (the default) and
-// the per-event path; turning batching off flushes buffered events first.
-func (n *Native) SetBatching(on bool) {
-	if !on {
-		n.batch.Flush(trace.FlushFinal)
-	}
-	n.batching = on
-}
+func (n *Native) emit(e trace.Event) { n.batch.Append(e) }
 
 // Flush delivers any buffered events.  Run flushes on every exit path;
-// callers stepping the machine by hand flush before reading the Counter or
-// sink state.
+// callers stepping the machine by hand flush before reading sink state.
 func (n *Native) Flush() { n.batch.Flush(trace.FlushFinal) }
 
 // BatchStats returns the native path's batching account.

@@ -312,18 +312,20 @@ func driveScenario(probe *atom.Probe, img *atom.Image) {
 	probe.FlushEvents()
 }
 
-// TestCollectorSegmentedMatchesPerEvent pins the segment-marked batching
-// path to the per-event path: the same scripted stream must fold into
+// TestCollectorSegmentedMatchesAttrSync pins the segment-marked block path
+// (full blocks, one tagged boundary per attribution change) to the
+// attribution-sync path (a flush before every change, so each block is
+// uniform under one state): the same scripted stream must fold into
 // byte-identical profiles either way.
-func TestCollectorSegmentedMatchesPerEvent(t *testing.T) {
-	fold := func(perEvent bool) string {
+func TestCollectorSegmentedMatchesAttrSync(t *testing.T) {
+	fold := func(attrSync bool) string {
 		img := atom.NewImage()
 		col := profile.NewCollector()
 		probe := atom.NewProbe(img, col)
-		if perEvent {
-			probe.SetBatching(false)
-		}
 		col.Bind(probe)
+		if attrSync {
+			probe.RequireAttrSync()
+		}
 		driveScenario(probe, img)
 		var buf bytes.Buffer
 		for _, typ := range []int{
@@ -336,11 +338,11 @@ func TestCollectorSegmentedMatchesPerEvent(t *testing.T) {
 		}
 		return buf.String()
 	}
-	batched, perEvent := fold(false), fold(true)
-	if batched != perEvent {
-		t.Errorf("segment-marked profile differs from per-event profile:\n-- batched --\n%s\n-- per-event --\n%s", batched, perEvent)
+	segmented, synced := fold(false), fold(true)
+	if segmented != synced {
+		t.Errorf("segment-marked profile differs from attr-sync profile:\n-- segmented --\n%s\n-- attr-sync --\n%s", segmented, synced)
 	}
-	if !strings.Contains(batched, "interp.helper") || !strings.Contains(batched, "op:load") {
-		t.Fatalf("scenario profile missing expected frames:\n%s", batched)
+	if !strings.Contains(segmented, "interp.helper") || !strings.Contains(segmented, "op:load") {
+		t.Fatalf("scenario profile missing expected frames:\n%s", segmented)
 	}
 }

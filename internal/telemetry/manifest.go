@@ -134,7 +134,9 @@ type Measurement struct {
 
 	// Batch accounts the batched event pipeline for this measurement:
 	// events and blocks delivered to the sinks, split by flush trigger
-	// (schema v1 additive field; nil when the run emitted per-event).
+	// (schema v1 additive field; nil when nothing was emitted, as in a
+	// counter-only measurement of an interpreted program, whose probe
+	// counts instead of emitting).
 	Batch *trace.BatchStats `json:"batch,omitempty"`
 
 	Stats *atom.Stats           `json:"stats,omitempty"`

@@ -2,6 +2,8 @@ package trace
 
 // Counter tallies an event stream without simulating anything.  It is the
 // cheapest sink and backs the pure-counting experiments (Tables 1 and 2).
+// A probe whose sink is a Counter skips the stream altogether and tallies
+// into it directly (atom.NewProbe).
 type Counter struct {
 	Total   uint64
 	ByKind  [numKinds]uint64

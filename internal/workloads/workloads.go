@@ -55,9 +55,6 @@ func runNative(ctx *core.Ctx, name, src string) error {
 	if err != nil {
 		return err
 	}
-	if ctx.PerEventEmission() {
-		nat.SetBatching(false)
-	}
 	if err := nat.Run(0); err != nil {
 		return err
 	}
