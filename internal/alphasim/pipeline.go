@@ -170,19 +170,22 @@ func (s Stats) IMissPer100() float64 {
 	return 100 * float64(s.IMisses1) / float64(s.Instructions)
 }
 
-// MissObserver receives cache-miss notifications from the pipeline, carrying
-// the event that issued the access so the miss can be attributed back to the
-// interpreter routine and virtual command that caused it (the profiling
-// layer's join).  Level 1 is an L1 miss that hit L2; level 2 also missed L2.
-// Calls arrive synchronously inside Emit, while the issuing probe's
-// attribution state is still current for the event.
+// MissObserver receives cache-miss notifications from the pipeline so each
+// miss can be attributed back to the interpreter routine and virtual
+// command that caused it (the profiling layer's join).  A call carries the
+// index of the missing event within the block being delivered (0 for a
+// per-event Emit), and arrives synchronously inside EmitBlock or Emit, so
+// a sink ahead of the pipeline in the fan can resolve the index against
+// the same block's segment marks.
 type MissObserver interface {
-	IMiss(e trace.Event, level int)
-	DMiss(e trace.Event, level int)
+	IMiss(i int)
+	DMiss(i int)
 }
 
 // Pipeline simulates the configured machine over an event stream.  It
-// implements trace.Sink.
+// implements trace.Sink and trace.BlockSink; with a MissObserver set, it
+// reports each cache miss by the missing event's index in the block being
+// delivered.
 type Pipeline struct {
 	cfg    Config
 	icache *Cache
@@ -226,7 +229,7 @@ func (p *Pipeline) stall(c Cause, cycles int) {
 }
 
 // Emit processes one native instruction.
-func (p *Pipeline) Emit(e trace.Event) { p.step(e) }
+func (p *Pipeline) Emit(e trace.Event) { p.step(e, 0) }
 
 // EmitBlock processes a whole event batch in one tight loop: the machine
 // model is inherently per-instruction (every event advances caches, TLBs
@@ -235,12 +238,13 @@ func (p *Pipeline) Emit(e trace.Event) { p.step(e) }
 // the instrumentation bill.
 func (p *Pipeline) EmitBlock(b *trace.Block) {
 	for i := 0; i < b.N; i++ {
-		p.step(trace.Event{PC: b.PC[i], Addr: b.Addr[i], Kind: b.Kind[i], Flags: b.Flags[i]})
+		p.step(trace.Event{PC: b.PC[i], Addr: b.Addr[i], Kind: b.Kind[i], Flags: b.Flags[i]}, i)
 	}
 }
 
-// step simulates one native instruction.
-func (p *Pipeline) step(e trace.Event) {
+// step simulates one native instruction, the event at index i of the block
+// being delivered.
+func (p *Pipeline) step(e trace.Event, i int) {
 	st := &p.stats
 	st.Instructions++
 	// Base issue: `Width` instructions retire per cycle when nothing
@@ -264,14 +268,12 @@ func (p *Pipeline) step(e trace.Event) {
 	if !p.icache.Access(e.PC) {
 		st.IMisses1++
 		p.stall(CauseIMiss, p.cfg.L1Miss)
-		level := 1
 		if !p.l2.Access(e.PC) {
 			st.IMisses2++
 			p.stall(CauseIMiss, p.cfg.L2Miss)
-			level = 2
 		}
 		if p.missObs != nil {
-			p.missObs.IMiss(e, level)
+			p.missObs.IMiss(i)
 		}
 	}
 
@@ -302,14 +304,12 @@ func (p *Pipeline) step(e trace.Event) {
 		if !hit {
 			st.DMisses1++
 			p.stall(CauseDMiss, p.cfg.L1Miss)
-			level := 1
 			if !p.l2.Access(e.Addr) {
 				st.DMisses2++
 				p.stall(CauseDMiss, p.cfg.L2Miss)
-				level = 2
 			}
 			if p.missObs != nil {
-				p.missObs.DMiss(e, level)
+				p.missObs.DMiss(i)
 			}
 		}
 	case trace.Branch:

@@ -55,14 +55,11 @@ type Probe struct {
 	// probe then runs in counting mode, tallying instructions straight into
 	// it without building events.  Otherwise batch buffers emitted events
 	// into struct-of-arrays blocks and hands whole blocks to the sink;
-	// attrSync forces a flush before every attribution change so blocks
-	// are attribution-uniform for miss-joining sinks (RequireAttrSync), and
-	// attrTag — the lighter alternative — records a tagged segment
-	// boundary in the buffered block instead (MarkAttrBoundaries).
-	count    *trace.Counter
-	batch    *trace.Batcher
-	attrSync bool
-	attrTag  func() any
+	// attrTag, when set, records a tagged segment boundary in the buffered
+	// block at every attribution change (MarkAttrBoundaries).
+	count   *trace.Counter
+	batch   *trace.Batcher
+	attrTag func() any
 
 	cur      *Routine
 	frames   []frame
@@ -168,25 +165,15 @@ func (p *Probe) Image() *Image { return p.img }
 
 // --- batched emission --------------------------------------------------------
 
-// RequireAttrSync makes the probe flush its event buffer before every
-// attribution change (command begin/end, phase switch, call/return, routine
-// switch), so each delivered block is uniform under one attribution state.
-// Only consumers that join out-of-band per-event callbacks to the stream
-// need it — the pipeline's cache-miss observer attributes a miss to the
-// profiling collector's current node, which is coherent only when the
-// whole in-flight block shares one state.  Plain attribution consumers use
-// MarkAttrBoundaries instead and keep full blocks.  It takes precedence
-// over a registered boundary callback.
-func (p *Probe) RequireAttrSync() { p.attrSync = true }
-
 // MarkAttrBoundaries registers a callback invoked at every attribution
-// change while the outgoing state — the one every buffered event was
-// emitted under — is still live; its return value is recorded as a tagged
-// segment boundary (trace.SegMark) in the buffered block.  A profiling
-// sink resolves each segment of a full block from its tag, which keeps
-// blocks at capacity instead of flushing a few-event block per virtual
-// command the way RequireAttrSync does.  Boundaries with no events since
-// the previous one are skipped without calling tag.
+// change (command begin/end, phase switch, call/return, routine switch)
+// while the outgoing state — the one every buffered event was emitted
+// under — is still live; its return value is recorded as a tagged segment
+// boundary (trace.SegMark) in the buffered block.  A profiling sink
+// resolves each segment of a full block from its tag, both for the events
+// themselves and for cache misses a simulator reports against them, so
+// blocks stay at capacity.  Boundaries with no events since the previous
+// one are skipped without calling tag.
 func (p *Probe) MarkAttrBoundaries(tag func() any) { p.attrTag = tag }
 
 // FlushEvents delivers any buffered events to the sink.  Call it before
@@ -200,13 +187,10 @@ func (p *Probe) BatchStats() trace.BatchStats { return p.batch.Stats() }
 
 // bumpAttr records an attribution change: while the outgoing state, under
 // which every buffered event was emitted, is still live, the buffer is
-// either flushed (attr-sync consumers) or segment-marked (boundary-marking
-// consumers); then the version moves.  Callers must invoke it BEFORE
-// mutating attribution state.
+// segment-marked for boundary-marking consumers; then the version moves.
+// Callers must invoke it BEFORE mutating attribution state.
 func (p *Probe) bumpAttr() {
-	if p.attrSync {
-		p.batch.Flush(trace.FlushAttr)
-	} else if p.attrTag != nil && p.batch.NeedMark() {
+	if p.attrTag != nil && p.batch.NeedMark() {
 		p.batch.Mark(p.attrTag())
 	}
 	p.attrVersion++
@@ -622,8 +606,8 @@ func (p *Probe) Call(r *Routine) {
 		retpc = p.cur.pc()
 	}
 	p.account(1)
-	// The jump belongs to the caller: it is emitted — and, under attr-sync
-	// batching, flushed — before the frame push changes the call stack.
+	// The jump belongs to the caller: it is emitted — and segment-marked —
+	// before the frame push changes the call stack.
 	if p.count != nil {
 		p.tally(trace.Jump, 1)
 	} else {
@@ -657,9 +641,8 @@ func (p *Probe) Ret() {
 		ret = f.r.pc()
 	}
 	p.account(1)
-	// The return belongs to the callee: it is emitted — and, under
-	// attr-sync batching, flushed — before the frame pop changes the call
-	// stack.
+	// The return belongs to the callee: it is emitted — and
+	// segment-marked — before the frame pop changes the call stack.
 	if p.count != nil {
 		p.tally(trace.Return, 1)
 	} else {

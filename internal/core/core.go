@@ -129,11 +129,14 @@ type Result struct {
 	FromCache bool
 
 	// Batch accounts the batched event pipeline: events and blocks
-	// delivered to the sinks, split by flush trigger, summed over every
-	// producer in the run (the probe, plus the compiled-C path's internal
-	// batcher).  The probe contributes nothing when the run's only
-	// consumer is its counter: it then counts instead of emitting, so a
-	// counter-only measurement of an interpreted program has zero Batch.
+	// delivered to the sinks, split by flush trigger (fill or final),
+	// summed over every producer in the run (the probe, plus the
+	// compiled-C path's internal batcher).  Blocks are full except each
+	// producer's last, profiled runs included: attribution rides segment
+	// marks inside the block, never a flush.  The probe contributes
+	// nothing when the run's only consumer is its counter: it then counts
+	// instead of emitting, so a counter-only measurement of an
+	// interpreted program has zero Batch.
 	Batch trace.BatchStats
 }
 
@@ -323,22 +326,18 @@ func run(p Program, sink trace.Sink, mc measureConfig) (Result, error) {
 	res := Result{Program: p}
 	var counter trace.Counter
 	var col *profile.Collector
-	missJoin := false
 	if mc.profiling {
 		col = profile.NewCollector()
-		// The collector must see each event before any simulating sink so
-		// its cached attribution node is current when the pipeline reports
-		// that event's cache misses back to it.
 		if mo, ok := sink.(interface {
 			SetMissObserver(alphasim.MissObserver)
 		}); ok {
 			mo.SetMissObserver(col)
-			missJoin = true
 		}
 	}
-	// The collector must precede the simulating sink in the fan so its
-	// cached attribution node is current when the pipeline reports an
-	// event's cache misses back to it; Combine preserves argument order.
+	// The collector must precede the simulating sink in the fan: it keeps
+	// the segment marks of the block it has just attributed, and the
+	// pipeline's cache misses for that block, reported by event index,
+	// resolve against them.  Combine preserves argument order.
 	var fanned trace.Sink
 	if col != nil {
 		fanned = trace.Combine(&counter, col, sink)
@@ -354,14 +353,6 @@ func run(p Program, sink trace.Sink, mc measureConfig) (Result, error) {
 	probe := atom.NewProbe(img, observed)
 	if col != nil {
 		col.Bind(probe)
-		if missJoin {
-			// Miss attribution rides the pipeline's synchronous callbacks,
-			// which land on the collector's cached node — coherent only when
-			// every delivered block is uniform under one attribution state.
-			// Plain profiling runs skip this and keep full, segment-marked
-			// blocks instead.
-			probe.RequireAttrSync()
-		}
 	}
 	osys := vfs.New()
 	// Compiled-C runs emit their own synthetic kernel path (mipsi.Native);
@@ -407,11 +398,10 @@ func run(p Program, sink trace.Sink, mc measureConfig) (Result, error) {
 		mc.reg.Counter("trace.batch.events").Add(b.Events)
 		mc.reg.Counter("trace.batch.blocks").Add(b.Blocks)
 		mc.reg.Counter("trace.batch.flush_fill").Add(b.FlushFill)
-		mc.reg.Counter("trace.batch.flush_attr").Add(b.FlushAttr)
 		mc.reg.Counter("trace.batch.flush_final").Add(b.FlushFinal)
 		bs := mc.tracer.StartOn(telemetry.BatchLane, "batch "+p.ID(),
 			"events", b.Events, "blocks", b.Blocks,
-			"flush_fill", b.FlushFill, "flush_attr", b.FlushAttr, "flush_final", b.FlushFinal)
+			"flush_fill", b.FlushFill, "flush_final", b.FlushFinal)
 		bs.End()
 	}
 	return res, err

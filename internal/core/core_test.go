@@ -10,6 +10,7 @@ import (
 	"interplab/internal/profile"
 	"interplab/internal/rescache"
 	"interplab/internal/telemetry"
+	"interplab/internal/trace"
 )
 
 // toyProgram emits a deterministic instruction stream through the probe.
@@ -334,34 +335,43 @@ func TestMeasureTelemetryFidelity(t *testing.T) {
 	}
 }
 
-// TestProfilingBatchModeSelection pins how run() picks the profiling
-// batching mode: plain profiled measurements keep full, segment-marked
-// blocks (no attribution flushes), while pipeline runs — whose cache-miss
-// callbacks join on the collector's cached node — force a flush per
-// attribution transition.
+// TestProfilingBatchModeSelection pins that profiling never costs block
+// fill: plain profiled measurements and pipeline runs, whose cache misses
+// join back to the collector, both ride segment marks and deliver full
+// blocks, so the only short block is each run's last.
 func TestProfilingBatchModeSelection(t *testing.T) {
-	plain, err := Measure(toyProgram(SysPerl), WithProfiling())
+	// Five passes of the toy loop span several blocks.
+	p := toyProgram(SysPerl)
+	once := p.Run
+	p.Run = func(ctx *Ctx) error {
+		for i := 0; i < 5; i++ {
+			if err := once(ctx); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	plain, err := Measure(p, WithProfiling())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Profile == nil {
-		t.Fatal("profile missing")
-	}
-	if plain.Batch.FlushAttr != 0 {
-		t.Errorf("plain profiled run flushed on attribution %d times, want 0 (segment marks)", plain.Batch.FlushAttr)
-	}
-	piped, err := MeasureWithPipeline(toyProgram(SysPerl), alphasim.DefaultConfig(), WithProfiling())
+	piped, err := MeasureWithPipeline(p, alphasim.DefaultConfig(), WithProfiling())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if piped.Batch.FlushAttr == 0 {
-		t.Error("miss-joining pipeline run must flush per attribution transition")
-	}
-	// Mode must not change the numbers: both runs fold the same stream.
-	if got, want := plain.Profile.Total(profile.SampleInstructions), int64(plain.Stats.Instructions); got != want {
-		t.Errorf("plain profile total = %d, want %d", got, want)
-	}
-	if got, want := piped.Profile.Total(profile.SampleInstructions), int64(piped.Stats.Instructions); got != want {
-		t.Errorf("piped profile total = %d, want %d", got, want)
+	for name, res := range map[string]Result{"plain": plain, "piped": piped} {
+		if res.Profile == nil {
+			t.Fatalf("%s: profile missing", name)
+		}
+		b := res.Batch
+		if b.Events <= trace.BlockCap {
+			t.Fatalf("%s: profiled run emitted %d events, want more than one block", name, b.Events)
+		}
+		if want := (b.Events + trace.BlockCap - 1) / trace.BlockCap; b.Blocks != want {
+			t.Errorf("%s: %d events in %d blocks, want %d full blocks", name, b.Events, b.Blocks, want)
+		}
+		if got, want := res.Profile.Total(profile.SampleInstructions), int64(res.Stats.Instructions); got != want {
+			t.Errorf("%s: profile total = %d, want %d", name, got, want)
+		}
 	}
 }

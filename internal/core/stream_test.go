@@ -58,8 +58,8 @@ func TestEventStreamGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		c, b := res.Counter, res.Batch
-		fmt.Fprintf(&got, "%s hash=%016x total=%d kinds=%v taken=%d events=%d blocks=%d fill=%d attr=%d final=%d\n",
-			p.ID(), h.h, c.Total, c.ByKind, c.TakenBr, b.Events, b.Blocks, b.FlushFill, b.FlushAttr, b.FlushFinal)
+		fmt.Fprintf(&got, "%s hash=%016x total=%d kinds=%v taken=%d events=%d blocks=%d fill=%d final=%d\n",
+			p.ID(), h.h, c.Total, c.ByKind, c.TakenBr, b.Events, b.Blocks, b.FlushFill, b.FlushFinal)
 	}
 	path := filepath.Join("testdata", "event_stream.golden")
 	if *update {

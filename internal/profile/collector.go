@@ -45,7 +45,11 @@ func (n *node) child(frame string) *node {
 // Collector folds a native-instruction stream into attribution samples.  It
 // implements trace.Sink (put it on the probe's fan-out *before* any
 // simulating sink) and alphasim.MissObserver (register it on the pipeline
-// to join cache misses back to the issuing routine and opcode).
+// to join cache misses back to the issuing routine and opcode).  Both use
+// the probe's segment marks: EmitBlock charges each segment to its tag and
+// keeps the block's marks, so the pipeline's misses for that block, which
+// arrive by event index during the same delivery, resolve to the segment
+// that issued them.
 //
 // Per-event cost is one version check plus a handful of increments; the
 // stack is re-resolved only when the probe reports an attribution change
@@ -72,6 +76,12 @@ type Collector struct {
 	ctxCur    *atom.Routine
 	ctxTab    []*node
 	ctxs      map[ctxKey][]*node
+
+	// Miss join: the marks of the block just attributed, and a forward
+	// cursor into them — misses arrive in stream order, so each resolves
+	// by advancing past the segments that end at or before its index.
+	marks []trace.SegMark
+	seg   int
 }
 
 // ctxKey is the slow-changing half of the probe's attribution state: the
@@ -96,10 +106,8 @@ func NewCollector() *Collector {
 // be called before the first event arrives.  Binding registers the
 // collector's boundary callback: at every attribution change the probe
 // records the outgoing state's sample node as a segment mark in its
-// buffered block, so blocks stay full and EmitBlock resolves each segment
-// from its tag.  Runs that join cache misses back to the collector must
-// additionally call Probe.RequireAttrSync, which overrides marking with a
-// flush per transition (see EmitBlock).
+// buffered block, so blocks stay full and EmitBlock (and the miss join)
+// resolve each segment from its tag.
 func (c *Collector) Bind(p *atom.Probe) {
 	c.probe = p
 	c.lastNode = nil
@@ -167,8 +175,10 @@ func (c *Collector) cur() *node {
 	return c.lastNode
 }
 
-// Emit attributes one native instruction.
+// Emit attributes one native instruction.  A per-event delivery carries no
+// marks, so misses reported for it resolve to the current node.
 func (c *Collector) Emit(e trace.Event) {
+	c.marks = nil
 	n := c.cur()
 	n.values[SampleInstructions]++
 	switch e.Kind {
@@ -184,21 +194,31 @@ func (c *Collector) Emit(e trace.Event) {
 // EmitBlock attributes a whole batch.  In the marking mode Bind sets up,
 // the block carries one tagged boundary per attribution change and each
 // tag IS the segment's resolved sample node, so attribution costs one
-// pointer read per segment plus a Kind-column scan.  In attr-sync mode
-// (miss-joining runs, Probe.RequireAttrSync) blocks carry no marks and the
-// whole block belongs to the probe's still-current state; the tail
-// accounting below covers it.
+// pointer read per segment plus a Kind-column scan.  Events after the last
+// mark belong to the probe's still-current state.  The marks are kept for
+// the miss join; the block is valid, and they with it, until the fan's
+// delivery of this block returns.
 func (c *Collector) EmitBlock(b *trace.Block) {
+	c.marks, c.seg = b.Marks, 0
 	lo := 0
 	for _, m := range b.Marks {
-		n, ok := m.Tag.(*node)
-		if !ok {
-			n = c.cur()
-		}
-		c.accountSeg(n, b, lo, m.End)
+		c.accountSeg(m.Tag.(*node), b, lo, m.End)
 		lo = m.End
 	}
 	c.accountSeg(c.cur(), b, lo, b.N)
+}
+
+// missNode resolves the event at index i of the block being delivered to
+// the node of its segment.  Misses past the last mark, in a mark-free
+// block, or after a per-event Emit belong to the current node.
+func (c *Collector) missNode(i int) *node {
+	for c.seg < len(c.marks) && c.marks[c.seg].End <= i {
+		c.seg++
+	}
+	if c.seg < len(c.marks) {
+		return c.marks[c.seg].Tag.(*node)
+	}
+	return c.cur()
 }
 
 // accountSeg charges one attribution-uniform event range of b to n.  The
@@ -218,19 +238,14 @@ func (c *Collector) accountSeg(n *node, b *trace.Block, lo, hi int) {
 	n.values[SampleBranches] += cnt[trace.Branch]
 }
 
-// IMiss attributes one instruction-cache miss (alphasim.MissObserver).  The
-// pipeline calls it synchronously while processing the event the collector
-// just attributed, so the cached node is the right account — provided the
-// run flushes per attribution transition (Probe.RequireAttrSync, which
-// core.run engages whenever it registers this observer).
-func (c *Collector) IMiss(e trace.Event, level int) {
-	c.cur().values[SampleIMiss]++
-}
+// IMiss attributes an instruction-cache miss on the event at index i of the
+// block being delivered (alphasim.MissObserver).  The pipeline calls it
+// synchronously, after the collector has attributed the same block.
+func (c *Collector) IMiss(i int) { c.missNode(i).values[SampleIMiss]++ }
 
-// DMiss attributes one data-cache miss (alphasim.MissObserver).
-func (c *Collector) DMiss(e trace.Event, level int) {
-	c.cur().values[SampleDMiss]++
-}
+// DMiss attributes a data-cache miss on the event at index i of the block
+// being delivered (alphasim.MissObserver).
+func (c *Collector) DMiss(i int) { c.missNode(i).values[SampleDMiss]++ }
 
 // Profile snapshots the collected samples into a finished profile labeled
 // with the program id.  The collector can keep accumulating afterwards.

@@ -265,84 +265,68 @@ func TestSetMerged(t *testing.T) {
 	var _ alphasim.MissObserver = profile.NewCollector()
 }
 
-// driveScenario pushes a fixed attribution-rich stream through a bound
-// probe: startup work, many small command cycles across several opcodes
-// and handler routines, nested calls, memory traffic, and one segment
-// long enough to span a block-fill boundary.
-func driveScenario(probe *atom.Probe, img *atom.Image) {
-	dispatch := img.Routine("interp.dispatch", 48)
-	handlers := []*atom.Routine{
-		img.Routine("interp.add", 16),
-		img.Routine("interp.load", 24),
-		img.Routine("interp.call", 32),
-	}
-	helper := img.Routine("interp.helper", 8)
-	ops := []atom.OpID{probe.OpName("add"), probe.OpName("load"), probe.OpName("call")}
-
-	probe.SetStartup(true)
-	probe.Exec(dispatch, 50)
-	probe.SetStartup(false)
-
-	for i := 0; i < 400; i++ {
-		op := i % len(ops)
-		probe.BeginCommand(ops[op])
-		probe.Exec(dispatch, 3+op)
-		probe.BeginExecute()
-		h := handlers[op]
-		probe.Exec(h, 5+i%7)
-		switch op {
-		case 1:
-			probe.Load(0x1000 + uint32(i)*8)
-			probe.Store(0x2000 + uint32(i)*8)
-		case 2:
-			probe.Call(helper)
-			probe.Exec(helper, 4)
-			probe.Ret()
-		}
-		probe.EndCommand()
-		probe.Exec(dispatch, 2)
-	}
-
-	// One attribution segment larger than a block: the fill flush lands
-	// mid-segment and the tail must still be attributed to the same node.
-	probe.BeginCommand(ops[0])
-	probe.BeginExecute()
-	probe.Exec(handlers[0], trace.BlockCap+500)
-	probe.EndCommand()
-	probe.FlushEvents()
+// missReporter stands in for the pipeline behind a collector in the fan:
+// on each delivery it reports instruction-cache misses at the next
+// scripted list of event indices, as alphasim.Pipeline does.
+type missReporter struct {
+	obs    alphasim.MissObserver
+	script [][]int
 }
 
-// TestCollectorSegmentedMatchesAttrSync pins the segment-marked block path
-// (full blocks, one tagged boundary per attribution change) to the
-// attribution-sync path (a flush before every change, so each block is
-// uniform under one state): the same scripted stream must fold into
-// byte-identical profiles either way.
-func TestCollectorSegmentedMatchesAttrSync(t *testing.T) {
-	fold := func(attrSync bool) string {
-		img := atom.NewImage()
-		col := profile.NewCollector()
-		probe := atom.NewProbe(img, col)
-		col.Bind(probe)
-		if attrSync {
-			probe.RequireAttrSync()
-		}
-		driveScenario(probe, img)
-		var buf bytes.Buffer
-		for _, typ := range []int{
-			profile.SampleInstructions, profile.SampleLoads,
-			profile.SampleStores, profile.SampleBranches,
-		} {
-			if err := col.Profile("test/seg").WriteFolded(&buf, typ); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return buf.String()
+func (m *missReporter) report() {
+	if len(m.script) == 0 {
+		return
 	}
-	segmented, synced := fold(false), fold(true)
-	if segmented != synced {
-		t.Errorf("segment-marked profile differs from attr-sync profile:\n-- segmented --\n%s\n-- attr-sync --\n%s", segmented, synced)
+	for _, i := range m.script[0] {
+		m.obs.IMiss(i)
 	}
-	if !strings.Contains(segmented, "interp.helper") || !strings.Contains(segmented, "op:load") {
-		t.Fatalf("scenario profile missing expected frames:\n%s", segmented)
+	m.script = m.script[1:]
+}
+
+func (m *missReporter) Emit(trace.Event) { m.report() }
+
+func (m *missReporter) EmitBlock(*trace.Block) { m.report() }
+
+// TestCollectorResolvesMissesBySegment pins the miss join: a miss reported
+// by event index lands on the segment holding that event.  An index equal
+// to a mark's End belongs to the next segment; an index past the last mark,
+// in a mark-free block, or on a per-event delivery belongs to the current
+// node.
+func TestCollectorResolvesMissesBySegment(t *testing.T) {
+	img := atom.NewImage()
+	col := profile.NewCollector()
+	rep := &missReporter{obs: col}
+	fan := trace.Multi{col, rep}
+	probe := atom.NewProbe(img, fan)
+	col.Bind(probe)
+	fd, ex := img.Routine("r.fd", 64), img.Routine("r.ex", 64)
+	disp, other := img.Routine("r.dispatch", 64), img.Routine("r.other", 64)
+	op := probe.OpName("a")
+
+	// One block: [0,4) in r.fd, [4,8) in r.ex, tail [8,12) in r.dispatch.
+	segmented := func() {
+		probe.BeginCommand(op)
+		probe.Exec(fd, 4)
+		probe.BeginExecute()
+		probe.Exec(ex, 4)
+		probe.EndCommand()
+		probe.Exec(disp, 4)
+		probe.FlushEvents()
+	}
+	rep.script = [][]int{{3, 4, 8, 11}, {0}, nil, {0}}
+	segmented()
+	probe.Exec(other, 2) // a mark-free block
+	probe.FlushEvents()
+	segmented()
+	fan.Emit(trace.Event{}) // per-event, after a marked block
+
+	p := col.Profile("test/miss")
+	for frame, want := range map[string]int64{"r.fd": 1, "r.ex": 1, "r.dispatch": 3, "r.other": 1} {
+		if got := p.FrameTotal(frame, profile.SampleIMiss); got != want {
+			t.Errorf("%s: %d imisses, want %d", frame, got, want)
+		}
+	}
+	if len(rep.script) != 0 {
+		t.Errorf("%d deliveries never arrived", len(rep.script))
 	}
 }

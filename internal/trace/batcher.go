@@ -1,19 +1,13 @@
 package trace
 
-// batchRing is the number of blocks a Batcher rotates through.  Delivery
-// is synchronous, so one block would suffice functionally; a small ring
-// means a sink that inspects a just-delivered block (debugging, tests)
-// still sees intact data while the producer fills the next one.
-const batchRing = 4
-
-// Batcher accumulates events into a reusable ring of Blocks and delivers
-// full blocks to a sink via EmitBlockTo.  It is the shared engine behind
-// the batching producers (atom.Probe, mipsi.Native).  Blocks are allocated
-// lazily, so an idle producer pays nothing.
+// Batcher accumulates events into one reusable Block and delivers it to a
+// sink via EmitBlockTo whenever it fills or is flushed.  Delivery is
+// synchronous and sinks must not retain a block, so the same block is
+// refilled as soon as EmitBlockTo returns.  It is the shared engine behind
+// the batching producers (atom.Probe, mipsi.Native).  The block is
+// allocated lazily, so an idle producer pays nothing.
 type Batcher struct {
 	sink  Sink
-	ring  [batchRing]*Block
-	idx   int
 	blk   *Block
 	stats BatchStats
 }
@@ -30,16 +24,15 @@ func NewBatcher(sink Sink) *Batcher {
 func (t *Batcher) Append(e Event) {
 	b := t.blk
 	if b == nil {
-		b = t.next()
+		b = &Block{}
+		b.Reset()
+		t.blk = b
 	}
 	b.Append(e)
 	if b.N == BlockCap {
 		t.Flush(FlushFill)
 	}
 }
-
-// Pending reports whether buffered events await a flush.
-func (t *Batcher) Pending() bool { return t.blk != nil && t.blk.N > 0 }
 
 // NeedMark reports whether buffered events sit after the last recorded
 // segment boundary — i.e. whether Mark would record anything.  Producers
@@ -67,30 +60,16 @@ func (t *Batcher) Mark(tag any) {
 	b.Marks = append(b.Marks, SegMark{End: b.N, Tag: tag})
 }
 
-// Flush delivers the buffered events (if any) tagged with reason, then
-// advances to the next ring slot.
+// Flush delivers the buffered events (if any), counting the block under
+// reason, and empties the block for reuse.
 func (t *Batcher) Flush(reason FlushReason) {
 	b := t.blk
 	if b == nil || b.N == 0 {
 		return
 	}
-	b.Reason = reason
-	t.stats.count(b)
+	t.stats.count(b.N, reason)
 	EmitBlockTo(t.sink, b)
-	t.idx = (t.idx + 1) % batchRing
-	t.blk = t.next()
-}
-
-// next returns the current ring slot, allocating and resetting it.
-func (t *Batcher) next() *Block {
-	b := t.ring[t.idx]
-	if b == nil {
-		b = &Block{}
-		t.ring[t.idx] = b
-	}
 	b.Reset()
-	t.blk = b
-	return b
 }
 
 // Stats returns the accumulated batch accounting.

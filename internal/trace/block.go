@@ -26,26 +26,10 @@ type FlushReason uint8
 const (
 	// FlushFill means the block reached BlockCap.
 	FlushFill FlushReason = iota
-	// FlushAttr means the producer's attribution state (phase, routine,
-	// open command) was about to change and an attribution-sensitive sink
-	// (profiling) requires blocks to be uniform under one state.
-	FlushAttr
 	// FlushFinal means the stream ended (end of run, or an explicit
 	// flush before reading accumulated sink state).
 	FlushFinal
-
-	numFlushReasons = int(FlushFinal) + 1
 )
-
-var flushReasonNames = [numFlushReasons]string{"fill", "attr", "final"}
-
-// String returns the reason label used in metrics and trace spans.
-func (r FlushReason) String() string {
-	if int(r) < numFlushReasons {
-		return flushReasonNames[r]
-	}
-	return "invalid"
-}
 
 // SegMark ends an attribution segment inside a block: the events in
 // [previous mark's End, End) were emitted under the attribution state Tag
@@ -54,6 +38,9 @@ func (r FlushReason) String() string {
 // collector uses its resolved sample node), and consumers that don't
 // understand a block's tags simply ignore Marks.  Events after the last
 // mark belong to the state still current when the block is delivered.
+// Marks serve every consumer that attributes within a block: the profiling
+// collector charges each segment to its tag, and joins the pipeline's
+// cache misses, reported by event index, to the segment holding the event.
 type SegMark struct {
 	End int
 	Tag any
@@ -70,8 +57,6 @@ type Block struct {
 
 	// N is the number of valid events.
 	N int
-	// Reason records why the producer flushed this block.
-	Reason FlushReason
 	// Marks lists attribution segment boundaries in ascending End order
 	// (empty unless the producer runs in boundary-marking mode).
 	Marks []SegMark
@@ -89,9 +74,6 @@ func (b *Block) Append(e Event) {
 	b.Flags[b.N] = e.Flags
 	b.N++
 }
-
-// Full reports whether the block is at capacity.
-func (b *Block) Full() bool { return b.N == BlockCap }
 
 // Reset empties the block for reuse.
 func (b *Block) Reset() {
@@ -152,13 +134,12 @@ type BatchStats struct {
 	Events     uint64 `json:"events"`
 	Blocks     uint64 `json:"blocks"`
 	FlushFill  uint64 `json:"flush_fill,omitempty"`
-	FlushAttr  uint64 `json:"flush_attr,omitempty"`
 	FlushFinal uint64 `json:"flush_final,omitempty"`
 }
 
 // Flushes returns the total flush count (== Blocks for a well-formed
 // producer; kept separate so the identity is checkable).
-func (s BatchStats) Flushes() uint64 { return s.FlushFill + s.FlushAttr + s.FlushFinal }
+func (s BatchStats) Flushes() uint64 { return s.FlushFill + s.FlushFinal }
 
 // EventsPerBlock returns the mean batch size.
 func (s BatchStats) EventsPerBlock() float64 {
@@ -173,19 +154,16 @@ func (s *BatchStats) Add(other BatchStats) {
 	s.Events += other.Events
 	s.Blocks += other.Blocks
 	s.FlushFill += other.FlushFill
-	s.FlushAttr += other.FlushAttr
 	s.FlushFinal += other.FlushFinal
 }
 
-// count tallies one flushed block.
-func (s *BatchStats) count(b *Block) {
-	s.Events += uint64(b.N)
+// count tallies one block of n events flushed for reason.
+func (s *BatchStats) count(n int, reason FlushReason) {
+	s.Events += uint64(n)
 	s.Blocks++
-	switch b.Reason {
+	switch reason {
 	case FlushFill:
 		s.FlushFill++
-	case FlushAttr:
-		s.FlushAttr++
 	case FlushFinal:
 		s.FlushFinal++
 	}

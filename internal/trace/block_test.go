@@ -34,9 +34,6 @@ func TestBlockAppendRoundTrip(t *testing.T) {
 			t.Errorf("event %d = %+v, want %+v", i, b.Event(i), e)
 		}
 	}
-	if b.Full() {
-		t.Error("block of 6 events must not be full")
-	}
 	b.Reset()
 	if b.N != 0 {
 		t.Errorf("Reset left N = %d", b.N)
@@ -48,8 +45,8 @@ func TestBlockFullAtCap(t *testing.T) {
 	for i := 0; i < BlockCap; i++ {
 		b.Append(Event{PC: uint32(i)})
 	}
-	if !b.Full() {
-		t.Fatalf("block with %d events must be full", BlockCap)
+	if b.N != BlockCap {
+		t.Fatalf("block holds %d events, want %d", b.N, BlockCap)
 	}
 }
 
@@ -87,7 +84,7 @@ func TestBlockSinksMatchPerEvent(t *testing.T) {
 			perEvent.Emit(e)
 			recPer.Emit(e)
 			b.Append(e)
-			if b.Full() {
+			if b.N == BlockCap {
 				blocked.EmitBlock(&b)
 				recBlk.EmitBlock(&b)
 				b.Reset()
@@ -141,13 +138,13 @@ func TestBatcherFlushReasons(t *testing.T) {
 	for i := 0; i < BlockCap+10; i++ {
 		ba.Append(Event{PC: uint32(i)})
 	}
-	if !ba.Pending() {
-		t.Error("10 buffered events must report as pending")
+	if st := ba.Stats(); st.Blocks != 1 || st.Events != BlockCap {
+		t.Errorf("after one fill, stats = %+v, want 1 block of %d events", st, BlockCap)
 	}
-	ba.Flush(FlushAttr)
+	ba.Flush(FlushFinal)
 	ba.Flush(FlushFinal) // empty: must not produce a block
 	st := ba.Stats()
-	want := BatchStats{Events: BlockCap + 10, Blocks: 2, FlushFill: 1, FlushAttr: 1}
+	want := BatchStats{Events: BlockCap + 10, Blocks: 2, FlushFill: 1, FlushFinal: 1}
 	if st != want {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}
@@ -174,7 +171,7 @@ func TestBatchStatsAccounting(t *testing.T) {
 		t.Error("empty stats must report 0 events/block")
 	}
 	s.Add(BatchStats{Events: 100, Blocks: 4, FlushFill: 3, FlushFinal: 1})
-	s.Add(BatchStats{Events: 20, Blocks: 1, FlushAttr: 1})
+	s.Add(BatchStats{Events: 20, Blocks: 1, FlushFinal: 1})
 	if s.Events != 120 || s.Blocks != 5 || s.Flushes() != 5 {
 		t.Errorf("merged stats wrong: %+v", s)
 	}
@@ -260,17 +257,12 @@ func TestBatcherMarksSegments(t *testing.T) {
 		t.Errorf("block N = %d, want %d", rec.ns[0], len(evs))
 	}
 
-	// Ring reuse must not leak stale marks: push enough marked blocks to
-	// cycle the ring back to the first slot, then check a mark-free block.
-	for blk := 0; blk < batchRing; blk++ {
-		for i := 0; i < 2; i++ {
-			ba.Append(evs[i])
-		}
-		if blk < batchRing-1 {
-			ba.Mark("stale")
-		}
-		ba.Flush(FlushFinal)
+	// Reuse must not leak stale marks: after a marked block, the reused
+	// block starts with none.
+	for i := 0; i < 2; i++ {
+		ba.Append(evs[i])
 	}
+	ba.Flush(FlushFinal)
 	last := rec.marks[len(rec.marks)-1]
 	if len(last) != 0 {
 		t.Errorf("reused block carried stale marks: %+v", last)
