@@ -123,3 +123,48 @@ func BenchmarkICacheSweepBlocks(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rec.pcs)), "ns/event")
 }
+
+// blockRecorder keeps a whole event stream as full blocks.
+type blockRecorder struct {
+	blocks []*trace.Block
+	events int
+}
+
+func (r *blockRecorder) Emit(e trace.Event) {
+	if r.events%trace.BlockCap == 0 {
+		r.blocks = append(r.blocks, &trace.Block{})
+	}
+	r.blocks[len(r.blocks)-1].Append(e)
+	r.events++
+}
+
+// nopMissObserver accepts miss notifications and drops them.
+type nopMissObserver struct{}
+
+func (nopMissObserver) IMiss(int) {}
+func (nopMissObserver) DMiss(int) {}
+
+// BenchmarkPipelineBlocks measures the machine model alone on the block
+// path the harness uses: a recorded MIPSI/des event stream, delivered in
+// full 4096-event blocks to a fresh pipeline with a miss observer
+// attached, reported per event.
+func BenchmarkPipelineBlocks(b *testing.B) {
+	rec := &blockRecorder{}
+	img := atom.NewImage()
+	probe := atom.NewProbe(img, rec)
+	osys := vfs.New()
+	osys.Instrument(img, probe)
+	if err := workloads.DESMIPSI(10).Run(&core.Ctx{Image: img, Probe: probe, Sink: rec, OS: osys}); err != nil {
+		b.Fatal(err)
+	}
+	probe.FlushEvents()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := alphasim.New(alphasim.DefaultConfig())
+		p.SetMissObserver(nopMissObserver{})
+		for _, blk := range rec.blocks {
+			p.EmitBlock(blk)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rec.events), "ns/event")
+}

@@ -31,15 +31,24 @@ func (c CacheConfig) Sets() int {
 	return s
 }
 
-// mustSimulate panics, naming the geometry, unless the cache can be
+// mustSimulate panics with validate's message unless the cache can be
+// simulated.
+func (c CacheConfig) mustSimulate() {
+	if err := c.validate(); err != nil {
+		panic(err.Error())
+	}
+}
+
+// validate names the geometry and the reason unless the cache can be
 // simulated: a set index is a mask of the line number, so the line size
 // and set count must be powers of two, and the size must be exactly
 // sets × ways × line.
-func (c CacheConfig) mustSimulate() {
+func (c CacheConfig) validate() error {
 	if why := c.unsimulatable(); why != "" {
-		panic(fmt.Sprintf("alphasim: cannot simulate cache %q (%d B, %d-way, %d B lines): %s",
-			c.Name, c.Size, c.Assoc, c.LineSize, why))
+		return fmt.Errorf("alphasim: cannot simulate cache %q (%d B, %d-way, %d B lines): %s",
+			c.Name, c.Size, c.Assoc, c.LineSize, why)
 	}
+	return nil
 }
 
 func (c CacheConfig) unsimulatable() string {
@@ -57,14 +66,15 @@ func (c CacheConfig) unsimulatable() string {
 	return ""
 }
 
-// Cache is a set-associative cache with true-LRU replacement.
+// Cache is a set-associative cache with true-LRU replacement.  A
+// direct-mapped cache keeps no ages: its one way is always the victim.
 type Cache struct {
 	cfg       CacheConfig
 	lineShift uint
 	setMask   uint32
 	assoc     int
 	tags      []uint32 // sets*assoc; tag 0 means empty (tag stored +1)
-	age       []uint64
+	age       []uint64 // nil when assoc == 1
 	clock     uint64
 
 	Accesses uint64
@@ -81,7 +91,9 @@ func NewCache(cfg CacheConfig) *Cache {
 		cfg:   cfg,
 		assoc: cfg.Assoc,
 		tags:  make([]uint32, sets*cfg.Assoc),
-		age:   make([]uint64, sets*cfg.Assoc),
+	}
+	if cfg.Assoc > 1 {
+		c.age = make([]uint64, sets*cfg.Assoc)
 	}
 	for c.lineShift = 0; 1<<c.lineShift < cfg.LineSize; c.lineShift++ {
 	}
@@ -95,10 +107,19 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 // Access looks addr up, fills on miss, and reports whether it hit.
 func (c *Cache) Access(addr uint32) bool {
 	c.Accesses++
-	c.clock++
 	line := addr >> c.lineShift
-	set := int(line&c.setMask) * c.assoc
 	tag := line + 1 // +1 so that 0 means "empty"
+	if c.assoc == 1 {
+		set := line & c.setMask
+		if c.tags[set] == tag {
+			return true
+		}
+		c.Misses++
+		c.tags[set] = tag
+		return false
+	}
+	c.clock++
+	set := int(line&c.setMask) * c.assoc
 	var victim, oldest = set, c.age[set]
 	for w := 0; w < c.assoc; w++ {
 		i := set + w
@@ -127,10 +148,8 @@ func (c *Cache) MissRate() float64 {
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.age[i] = 0
-	}
+	clear(c.tags)
+	clear(c.age)
 	c.clock = 0
 	c.Accesses = 0
 	c.Misses = 0
@@ -142,6 +161,7 @@ type TLB struct {
 	pages     []uint32
 	age       []uint64
 	clock     uint64
+	mru       int // index of the most recently used entry
 
 	Accesses uint64
 	Misses   uint64
@@ -158,15 +178,21 @@ func NewTLB(entries int, pageSize uint32) *TLB {
 	return t
 }
 
-// Access translates addr, fills on miss, and reports whether it hit.
+// Access translates addr, fills on miss, and reports whether it hit.  A
+// hit on the most recently used entry leaves every age as it was: that
+// entry already holds the newest one, so the LRU order cannot change.
 func (t *TLB) Access(addr uint32) bool {
 	t.Accesses++
-	t.clock++
 	page := (addr >> t.pageShift) + 1
+	if t.pages[t.mru] == page {
+		return true
+	}
+	t.clock++
 	victim, oldest := 0, t.age[0]
 	for i := range t.pages {
 		if t.pages[i] == page {
 			t.age[i] = t.clock
+			t.mru = i
 			return true
 		}
 		if t.age[i] < oldest {
@@ -177,6 +203,7 @@ func (t *TLB) Access(addr uint32) bool {
 	t.Misses++
 	t.pages[victim] = page
 	t.age[victim] = t.clock
+	t.mru = victim
 	return false
 }
 

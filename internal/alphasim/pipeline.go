@@ -1,6 +1,8 @@
 package alphasim
 
 import (
+	"fmt"
+
 	"interplab/internal/trace"
 )
 
@@ -67,6 +69,35 @@ type Config struct {
 	L1Miss        int // L1 miss, L2 hit
 	L2Miss        int // additional cycles when L2 also misses
 	BTCBubble     int // taken branch with a branch-target-cache miss
+}
+
+// Validate reports why cfg cannot be simulated, or nil if it can: the
+// issue width and every table size must be at least 1, each cache must
+// have a simulatable geometry, and the page size must be a power of two.
+func (cfg Config) Validate() error {
+	if cfg.Width < 1 {
+		return fmt.Errorf("alphasim: issue width %d is below 1", cfg.Width)
+	}
+	for _, c := range []CacheConfig{cfg.ICache, cfg.DCache, cfg.L2} {
+		if err := c.validate(); err != nil {
+			return err
+		}
+	}
+	if cfg.PageSize == 0 || cfg.PageSize&(cfg.PageSize-1) != 0 {
+		return fmt.Errorf("alphasim: page size %d is not a power of two", cfg.PageSize)
+	}
+	for _, t := range []struct {
+		name string
+		n    int
+	}{
+		{"iTLB", cfg.ITLBEntries}, {"dTLB", cfg.DTLBEntries},
+		{"BHT", cfg.BHTEntries}, {"BTC", cfg.BTCEntries}, {"return stack", cfg.ReturnStack},
+	} {
+		if t.n < 1 {
+			return fmt.Errorf("alphasim: %s has %d entries, want at least 1", t.name, t.n)
+		}
+	}
+	return nil
 }
 
 // DefaultConfig returns the Table 3 machine.
@@ -200,6 +231,14 @@ type Pipeline struct {
 	prevHit  bool // previous load hit L1
 	pending  uint64
 
+	// Same-line filters: the last instruction line fetched and the last
+	// data line accessed, stored +1 so that 0 means none.  A line here is
+	// the smaller of an L1 line and a page, so a repeat is resident in
+	// both the L1 and the TLB of its side, and already their most recent
+	// entry there.
+	iShift, dShift uint
+	iLine, dLine   uint64
+
 	missObs MissObserver
 }
 
@@ -207,9 +246,13 @@ type Pipeline struct {
 // disables them (the default).
 func (p *Pipeline) SetMissObserver(o MissObserver) { p.missObs = o }
 
-// New builds a pipeline for cfg.
+// New builds a pipeline for cfg.  It panics with cfg.Validate's message
+// if the machine cannot be simulated.
 func New(cfg Config) *Pipeline {
-	return &Pipeline{
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
+	p := &Pipeline{
 		cfg:    cfg,
 		icache: NewCache(cfg.ICache),
 		dcache: NewCache(cfg.DCache),
@@ -218,6 +261,9 @@ func New(cfg Config) *Pipeline {
 		dtlb:   NewTLB(cfg.DTLBEntries, cfg.PageSize),
 		pred:   NewPredictor(cfg.BHTEntries, cfg.ReturnStack, cfg.BTCEntries),
 	}
+	p.iShift = min(p.icache.lineShift, p.itlb.pageShift)
+	p.dShift = min(p.dcache.lineShift, p.dtlb.pageShift)
+	return p
 }
 
 // Config returns the simulated machine description.
@@ -228,111 +274,136 @@ func (p *Pipeline) stall(c Cause, cycles int) {
 	p.stats.Cycles += uint64(cycles)
 }
 
-// Emit processes one native instruction.
-func (p *Pipeline) Emit(e trace.Event) { p.step(e, 0) }
+// issue charges the base issue of n instructions: `Width` instructions
+// retire per cycle when nothing stalls, and the cycle is charged to the
+// first instruction of each group, so a trailing partial group still owns
+// a cycle.  pending counts the instructions of the open group.
+func (p *Pipeline) issue(n uint64) {
+	w := uint64(p.cfg.Width)
+	p.stats.Instructions += n
+	p.stats.IFetches += n
+	p.stats.Cycles += (p.pending+n+w-1)/w - (p.pending+w-1)/w
+	p.pending = (p.pending + n) % w
+}
 
-// EmitBlock processes a whole event batch in one tight loop: the machine
-// model is inherently per-instruction (every event advances caches, TLBs
-// and the predictor), so the win over per-event Emit is purely the removed
-// interface dispatch — which, at interp-lab's event volumes, is most of
-// the instrumentation bill.
+// Emit processes one native instruction.
+func (p *Pipeline) Emit(e trace.Event) {
+	pc, addr, kind, flags := [1]uint32{e.PC}, [1]uint32{e.Addr}, [1]trace.Kind{e.Kind}, [1]trace.Flags{e.Flags}
+	p.run(pc[:], addr[:], kind[:], flags[:])
+}
+
+// EmitBlock processes a whole event batch.
 func (p *Pipeline) EmitBlock(b *trace.Block) {
-	for i := 0; i < b.N; i++ {
-		p.step(trace.Event{PC: b.PC[i], Addr: b.Addr[i], Kind: b.Kind[i], Flags: b.Flags[i]}, i)
+	p.run(b.PC[:b.N], b.Addr[:b.N], b.Kind[:b.N], b.Flags[:b.N])
+}
+
+// run simulates a run of native instructions given as event columns; the
+// index of an event in them is its index in the delivery.  Base issue is
+// charged in closed form for the whole run, so the loop does only fetch,
+// latency, memory and control.
+func (p *Pipeline) run(pcs, addrs []uint32, kinds []trace.Kind, flags []trace.Flags) {
+	p.issue(uint64(len(pcs)))
+	addrs, kinds, flags = addrs[:len(pcs)], kinds[:len(pcs)], flags[:len(pcs)]
+	st := &p.stats
+	for i, pc := range pcs {
+		// Instruction fetch: only a fetch from a new line consults the
+		// iTLB and L1I; a repeat would hit both and change no LRU order.
+		if line := uint64(pc>>p.iShift) + 1; line != p.iLine {
+			p.iLine = line
+			p.fetch(pc, i)
+		}
+
+		// Result-latency stalls: charged when this instruction consumes
+		// the previous instruction's result.
+		if flags[i]&trace.FlagDep != 0 {
+			switch p.prevKind {
+			case trace.Load:
+				if p.prevHit {
+					p.stall(CauseLoadDelay, p.cfg.LoadDelay)
+				}
+			case trace.ShortInt:
+				p.stall(CauseShortInt, p.cfg.ShortIntDelay)
+			case trace.Mul, trace.Float:
+				p.stall(CauseOther, p.cfg.LongOpDelay)
+			}
+		}
+
+		kind := kinds[i]
+		switch kind {
+		case trace.Load, trace.Store:
+			st.DAccesses++
+			p.prevHit = true
+			if line := uint64(addrs[i]>>p.dShift) + 1; line != p.dLine {
+				p.dLine = line
+				p.prevHit = p.data(addrs[i], i)
+			}
+		case trace.Branch:
+			st.Branches++
+			mis, btcMiss := p.pred.Cond(pc, addrs[i], flags[i]&trace.FlagTaken != 0)
+			if mis {
+				st.Mispredicts++
+				p.stall(CauseMispredict, p.cfg.Mispredict)
+			} else if btcMiss {
+				p.stall(CauseOther, p.cfg.BTCBubble)
+			}
+		case trace.Jump:
+			if flags[i]&trace.FlagCall != 0 {
+				p.pred.Call(pc + 4)
+			}
+			p.stall(CauseOther, p.cfg.BTCBubble)
+		case trace.Return:
+			if p.pred.Ret(addrs[i]) {
+				st.Mispredicts++
+				p.stall(CauseMispredict, p.cfg.Mispredict)
+			}
+		}
+		p.prevKind = kind
 	}
 }
 
-// step simulates one native instruction, the event at index i of the block
-// being delivered.
-func (p *Pipeline) step(e trace.Event, i int) {
+// fetch runs an instruction fetch from a new line through the iTLB, L1I
+// and, on an L1 miss, the L2.
+func (p *Pipeline) fetch(pc uint32, i int) {
 	st := &p.stats
-	st.Instructions++
-	// Base issue: `Width` instructions retire per cycle when nothing
-	// stalls.  The cycle is charged to the first instruction of each
-	// group so a trailing partial group still owns a cycle.
-	p.pending++
-	if p.pending == 1 {
-		st.Cycles++
-	}
-	if p.pending >= uint64(p.cfg.Width) {
-		p.pending = 0
-	}
-
-	// Instruction fetch: every instruction consults the iTLB and L1I; the
-	// line-grain locality is captured by the caches themselves.
-	st.IFetches++
-	if !p.itlb.Access(e.PC) {
+	if !p.itlb.Access(pc) {
 		st.ITLBMisses++
 		p.stall(CauseITLB, p.cfg.TLBMiss)
 	}
-	if !p.icache.Access(e.PC) {
-		st.IMisses1++
-		p.stall(CauseIMiss, p.cfg.L1Miss)
-		if !p.l2.Access(e.PC) {
-			st.IMisses2++
-			p.stall(CauseIMiss, p.cfg.L2Miss)
-		}
-		if p.missObs != nil {
-			p.missObs.IMiss(i)
-		}
+	if p.icache.Access(pc) {
+		return
 	}
+	st.IMisses1++
+	p.stall(CauseIMiss, p.cfg.L1Miss)
+	if !p.l2.Access(pc) {
+		st.IMisses2++
+		p.stall(CauseIMiss, p.cfg.L2Miss)
+	}
+	if p.missObs != nil {
+		p.missObs.IMiss(i)
+	}
+}
 
-	// Result-latency stalls: charged when this instruction consumes the
-	// previous instruction's result.
-	if e.Dep() {
-		switch p.prevKind {
-		case trace.Load:
-			if p.prevHit {
-				p.stall(CauseLoadDelay, p.cfg.LoadDelay)
-			}
-		case trace.ShortInt:
-			p.stall(CauseShortInt, p.cfg.ShortIntDelay)
-		case trace.Mul, trace.Float:
-			p.stall(CauseOther, p.cfg.LongOpDelay)
-		}
+// data runs a data access to a new line through the dTLB, L1D and, on an
+// L1 miss, the L2, and reports whether L1D hit.
+func (p *Pipeline) data(addr uint32, i int) bool {
+	st := &p.stats
+	if !p.dtlb.Access(addr) {
+		st.DTLBMisses++
+		p.stall(CauseDTLB, p.cfg.TLBMiss)
 	}
-
-	switch e.Kind {
-	case trace.Load, trace.Store:
-		st.DAccesses++
-		if !p.dtlb.Access(e.Addr) {
-			st.DTLBMisses++
-			p.stall(CauseDTLB, p.cfg.TLBMiss)
-		}
-		hit := p.dcache.Access(e.Addr)
-		p.prevHit = hit
-		if !hit {
-			st.DMisses1++
-			p.stall(CauseDMiss, p.cfg.L1Miss)
-			if !p.l2.Access(e.Addr) {
-				st.DMisses2++
-				p.stall(CauseDMiss, p.cfg.L2Miss)
-			}
-			if p.missObs != nil {
-				p.missObs.DMiss(i)
-			}
-		}
-	case trace.Branch:
-		st.Branches++
-		mis, btcMiss := p.pred.Cond(e.PC, e.Addr, e.Taken())
-		if mis {
-			st.Mispredicts++
-			p.stall(CauseMispredict, p.cfg.Mispredict)
-		} else if btcMiss {
-			p.stall(CauseOther, p.cfg.BTCBubble)
-		}
-	case trace.Jump:
-		if e.Call() {
-			p.pred.Call(e.PC + 4)
-		}
-		p.stall(CauseOther, p.cfg.BTCBubble)
-	case trace.Return:
-		if p.pred.Ret(e.Addr) {
-			st.Mispredicts++
-			p.stall(CauseMispredict, p.cfg.Mispredict)
-		}
+	if p.dcache.Access(addr) {
+		return true
 	}
-	p.prevKind = e.Kind
+	st.DMisses1++
+	p.stall(CauseDMiss, p.cfg.L1Miss)
+	if !p.l2.Access(addr) {
+		st.DMisses2++
+		p.stall(CauseDMiss, p.cfg.L2Miss)
+	}
+	if p.missObs != nil {
+		p.missObs.DMiss(i)
+	}
+	return false
 }
 
 // Stats returns the accumulated statistics.

@@ -6,10 +6,7 @@ import (
 	"testing"
 
 	"interplab/internal/alphasim"
-	"interplab/internal/atom"
-	"interplab/internal/core"
 	"interplab/internal/trace"
-	"interplab/internal/vfs"
 	"interplab/internal/workloads"
 )
 
@@ -119,17 +116,9 @@ func randomStream(rng *rand.Rand, n int, footprintKB int) []uint32 {
 // recordedStream is a real guest's fetch stream: Perl running des.
 func recordedStream(t *testing.T) []uint32 {
 	t.Helper()
-	rec := &trace.Recorder{}
-	img := atom.NewImage()
-	probe := atom.NewProbe(img, rec)
-	osys := vfs.New()
-	osys.Instrument(img, probe)
-	if err := workloads.DESPerl(1).Run(&core.Ctx{Image: img, Probe: probe, Sink: rec, OS: osys}); err != nil {
-		t.Fatal(err)
-	}
-	probe.FlushEvents()
-	pcs := make([]uint32, len(rec.Events))
-	for i, e := range rec.Events {
+	evs := recordEvents(t, workloads.DESPerl(1))
+	pcs := make([]uint32, len(evs))
+	for i, e := range evs {
 		pcs[i] = e.PC
 	}
 	return pcs

@@ -128,6 +128,9 @@ func resolve(req Request) (*resolved, *httpError) {
 		if req.Config != nil {
 			rr.cfg = *req.Config
 		}
+		if err := rr.cfg.Validate(); err != nil {
+			return nil, errBadRequest("bad config: %v", err)
+		}
 	case "sweep":
 		if req.Config != nil {
 			return nil, errBadRequest("config only applies to pipeline requests (kind %q)", req.Kind)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"interplab/internal/alphasim"
 	"interplab/internal/harness"
 	"interplab/internal/rescache"
 	"interplab/internal/telemetry"
@@ -346,6 +347,12 @@ func TestBadRequests(t *testing.T) {
 	defer drainNow(t, srv)
 
 	cfgJSON := json.RawMessage(`{"kind":"measure","program":"Perl/micro-if","config":{}}`)
+	cfg := alphasim.DefaultConfig()
+	cfg.BHTEntries = 0
+	zeroBHT, err := json.Marshal(Request{Kind: "pipeline", Program: "Perl/micro-if", Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		method string
@@ -361,6 +368,8 @@ func TestBadRequests(t *testing.T) {
 		{"config on measure", http.MethodPost, string(cfgJSON), http.StatusBadRequest},
 		{"scale too large", http.MethodPost, `{"kind":"measure","program":"Perl/micro-if","scale":100}`, http.StatusBadRequest},
 		{"negative scale", http.MethodPost, `{"kind":"measure","program":"Perl/micro-if","scale":-1}`, http.StatusBadRequest},
+		{"empty pipeline config", http.MethodPost, `{"kind":"pipeline","program":"Perl/micro-if","config":{}}`, http.StatusBadRequest},
+		{"zero BHT entries", http.MethodPost, string(zeroBHT), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -385,6 +394,9 @@ func TestBadRequests(t *testing.T) {
 				t.Errorf("405 without Allow: POST header")
 			}
 		})
+	}
+	if got := srv.reg.Counter("server.panics").Value(); got != 0 {
+		t.Errorf("bad requests caused %d measurement panics, want 0", got)
 	}
 }
 

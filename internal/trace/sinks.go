@@ -21,7 +21,10 @@ func (c *Counter) Emit(e Event) {
 
 // EmitBlock records a whole batch: the per-kind tally comes from the
 // block's shared KindCounts table (nine adds), and only blocks that
-// actually contain branches pay a Kind/Flags scan for the taken count.
+// actually contain branches pay a scan for the taken count.  The scan
+// masks each taken flag by a branch select instead of testing the kind,
+// so it carries no data-dependent jump to mispredict; FlagTaken is bit
+// 0, so each masked flag adds 0 or 1.
 func (c *Counter) EmitBlock(b *Block) {
 	c.Total += uint64(b.N)
 	cnt := b.KindCounts()
@@ -31,11 +34,17 @@ func (c *Counter) EmitBlock(b *Block) {
 	if cnt[Branch] == 0 {
 		return
 	}
-	for i := 0; i < b.N; i++ {
-		if b.Kind[i] == Branch && b.Flags[i]&FlagTaken != 0 {
-			c.TakenBr++
+	kinds := b.Kind[:b.N]
+	flags := b.Flags[:len(kinds)]
+	var taken uint64
+	for i, k := range kinds {
+		var mask Flags
+		if k == Branch {
+			mask = FlagTaken
 		}
+		taken += uint64(flags[i] & mask)
 	}
+	c.TakenBr += taken
 }
 
 // Loads returns the number of Load events seen.

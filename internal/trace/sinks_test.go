@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -41,6 +42,34 @@ func TestCounterNotTakenBranch(t *testing.T) {
 	}
 	if c.TakenBr != 1 {
 		t.Errorf("TakenBr = %d, want 1 (not-taken must not count)", c.TakenBr)
+	}
+}
+
+// TestCounterEmitBlockMatchesEmit: on random blocks of every size up to
+// BlockCap, with every kind and flag mixed (FlagTaken on non-branch kinds
+// included), EmitBlock must leave the Counter exactly as per-event Emit.
+func TestCounterEmitBlockMatchesEmit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var perEvent, blocked Counter
+	var b Block
+	for round := 0; round < 200; round++ {
+		b.Reset()
+		n := 1 + rng.Intn(BlockCap)
+		if round%4 == 0 {
+			n = BlockCap
+		}
+		for i := 0; i < n; i++ {
+			e := Event{PC: rng.Uint32(), Addr: rng.Uint32(), Kind: Kind(rng.Intn(NumKinds)), Flags: Flags(rng.Intn(8))}
+			perEvent.Emit(e)
+			b.Append(e)
+		}
+		blocked.EmitBlock(&b)
+		if perEvent != blocked {
+			t.Fatalf("round %d (%d events): block counter %+v, per-event %+v", round, n, blocked, perEvent)
+		}
+	}
+	if perEvent.TakenBr == 0 || perEvent.TakenBr == perEvent.Branches() {
+		t.Errorf("stream exercised too little: %d taken of %d branches", perEvent.TakenBr, perEvent.Branches())
 	}
 }
 
